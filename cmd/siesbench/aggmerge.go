@@ -18,14 +18,19 @@ import (
 
 var flagAggMerge = flag.Bool("aggmerge", false, "run the sharded aggregator merge-plane sweep (fanout × shards, epochs/sec)")
 
+// aggmergeBar is the merge-plane shape check: the sharded defaults must reach
+// this multiple of the serialised configuration's epochs/sec at the largest
+// fanout.
+const aggmergeBar = 2.0
+
 // aggmergeBench measures one aggregator's ingest-to-flush throughput in
 // isolation: C raw child connections stream pre-merged per-epoch PSRs for
 // N sources full-tilt, a fake parent counts the flushes, and nothing else —
 // no source nodes, no querier — so the number is the epoch table and merge
 // plane, not the rest of the cluster. Each fanout runs twice: Shards=1 /
 // MergeWorkers=1 (every child reader serialises on one stripe lock and one
-// flush worker — the pre-sharding design) against the sharded defaults. The
-// high-fanout speedup is the PR's headline number.
+// flush worker — the pre-sharding design) against the sharded defaults, and
+// the shape check holds the speedup at the largest fanout to aggmergeBar.
 func aggmergeBench() error {
 	const nSources = 1024
 	fanouts := []int{4, 16}
@@ -57,6 +62,7 @@ func aggmergeBench() error {
 		nSources, epochs, runtime.GOMAXPROCS(0))
 	fmt.Printf("%-8s %18s %18s %10s\n", "fanout", "serial eps", "sharded eps", "speedup")
 	merger := core.NewAggregator(field)
+	var speedup float64
 	for _, c := range fanouts {
 		per := nSources / c
 		payloads := make([][][]byte, c)
@@ -101,17 +107,13 @@ func aggmergeBench() error {
 			benchRow{Op: fmt.Sprintf("aggmerge/serial/C=%d", c), N: nSources, NsPerOp: 1e9 / serial, EpochsPerSec: serial},
 			benchRow{Op: fmt.Sprintf("aggmerge/sharded/C=%d", c), N: nSources, NsPerOp: 1e9 / sharded, EpochsPerSec: sharded},
 		)
-		fmt.Printf("C=%-6d %18.0f %18.0f %9.2fx\n", c, serial, sharded, sharded/serial)
+		speedup = sharded / serial
+		fmt.Printf("C=%-6d %18.0f %18.0f %9.2fx\n", c, serial, sharded, speedup)
 	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		fmt.Println("\nShape check: the sharded table + parallel merge plane pulls away as fanout")
-		fmt.Println("grows — >=2x epochs/sec over the serialised configuration at C=16.")
-	} else {
-		fmt.Println("\n(single-core host: expect serial/sharded parity — striping and the worker")
-		fmt.Println("pool need cores to win; the structure itself costs nothing. Both rows sit")
-		fmt.Println("far above the committed full-cluster N=1024 numbers because ingest is")
-		fmt.Println("isolated from source-node overhead here.)")
-	}
+	fmt.Println()
+	shapeVerdict(speedup >= aggmergeBar, fmt.Sprintf(
+		"sharded/serial at C=%d is %.2fx (bar: >=%.1fx, GOMAXPROCS=%d)",
+		fanouts[len(fanouts)-1], speedup, aggmergeBar, runtime.GOMAXPROCS(0)))
 	return nil
 }
 

@@ -110,7 +110,7 @@ func main() {
 		run("Extra — zero-allocation hot-path kernels (lazy merge + Deriver)", hotpath)
 	}
 	if *flagAll || *flagPipeline {
-		run("Extra — batched I/O plane (coalesced frames + pipelined querier)", transportBench)
+		run("Extra — live cluster on the batched I/O plane (coalesced frames + pipelined querier)", transportBench)
 	}
 	if *flagAll || *flagAggMerge {
 		run("Extra — sharded aggregator merge plane (fanout × shard sweep)", aggmergeBench)

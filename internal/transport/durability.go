@@ -408,41 +408,13 @@ func (qn *QuerierNode) bumpMissed(id int) {
 	qn.missed.put(id, n+1)
 }
 
-// commitDurable journals one epoch outcome and checkpoints on cadence.
-// Called under qn.mu from record(); the fsync rides the append (SyncEvery 1),
-// so the commit is stable before the result is emitted or acked.
-func (qn *QuerierNode) commitDurable(res EpochResult, kind uint8) {
-	st := qn.state
-	if st == nil || qn.crashed {
-		return
-	}
-	rec := durable.Record{
-		Type:    recQuerierCommit,
-		Payload: encodeQuerierCommit(res.Epoch, kind, res.Sum, res.Failed),
-	}
-	if err := st.store.Journal().Append(rec); err != nil {
-		st.ctr.journalErrors.Add(1)
-		return
-	}
-	st.ctr.commits.Add(1)
-	st.sinceCheckpoint++
-	if st.sinceCheckpoint >= st.checkpointEvery {
-		if err := st.store.Checkpoint(stateVersion, qn.querierSnapshot()); err != nil {
-			st.ctr.journalErrors.Add(1)
-			return
-		}
-		st.sinceCheckpoint = 0
-		st.ctr.checkpoints.Add(1)
-	}
-}
-
-// commitDurableNoSync journals one epoch outcome without waiting for the
-// fsync, returning the journal offset the caller must SyncTo before the
-// result leaves the node — the group-commit half of the pipelined path.
+// appendCommit journals one epoch outcome without waiting for the fsync,
+// returning the journal offset the caller must SyncTo before the result
+// leaves the node — the group-commit half of record.
 // Returns 0 when there is nothing left to sync: no state directory, a failed
 // append (counted, durability degraded), or a checkpoint that just folded the
 // record into a durable snapshot. Called under qn.mu.
-func (qn *QuerierNode) commitDurableNoSync(res EpochResult, kind uint8) int64 {
+func (qn *QuerierNode) appendCommit(res EpochResult, kind uint8) int64 {
 	st := qn.state
 	if st == nil || qn.crashed {
 		return 0
@@ -689,9 +661,10 @@ func (a *AggregatorNode) journalContribution(rep report, covers []int) {
 	}
 }
 
-// commitFlush journals an epoch commit (fsynced) after its upstream write,
-// and checkpoints on cadence, re-journaling contributions of still-open
-// epochs so the reset cannot orphan them. Called concurrently by the merge
+// commitFlush journals an epoch commit (fsynced) once its upstream frame is
+// queued (the enqueue-time commit, DESIGN.md §12), and checkpoints on
+// cadence, re-journaling contributions of still-open epochs so the reset
+// cannot orphan them. Called concurrently by the merge
 // workers: the journal serialises appends internally, and ckptMu makes the
 // cadence check + snapshot build atomic. A contribution appended between the
 // snapshot build and the journal reset can be lost to the reset — that epoch

@@ -362,6 +362,48 @@ func TestAcceptNewStealsCoverage(t *testing.T) {
 	<-h.runDone
 }
 
+// TestMidStreamHelloOrdersLaterFrames sends a coverage-growing hello and the
+// first report under the new coverage in one write, as a coalescing child
+// does. The aggregator must apply the hello before it ingests the report:
+// attributed to the old coverage, the report's second source would read as
+// failed while its data is in the PSR, and the flush would not verify.
+func TestMidStreamHelloOrdersLaterFrames(t *testing.T) {
+	q, sources, err := core.Setup(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	field := q.Params().Field()
+	merge := core.NewAggregator(field)
+
+	var cX, cY net.Conn
+	h := startAggWithFakeParent(t, AggregatorConfig{
+		NumChildren: 2, Timeout: 500 * time.Millisecond, ReconnectWindow: 5 * time.Second,
+	}, func(addr string) {
+		cX, _ = dialChild(t, addr, []int{0})
+		cY, _ = dialChild(t, addr, []int{1})
+	})
+	defer cX.Close()
+	defer cY.Close()
+
+	psr0, _ := sources[0].Encrypt(1, 100)
+	psr1, _ := sources[1].Encrypt(1, 900)
+	batch := AppendFrame(nil, Frame{Type: TypeHello, Payload: core.EncodeContributors([]int{0, 1})})
+	batch = AppendFrame(batch, Frame{Type: TypePSR, Epoch: 1, Payload: encodeReport(merge.Merge(psr0, psr1), nil)})
+	if _, err := cY.Write(batch); err != nil {
+		t.Fatal(err)
+	}
+	f := readUpstream(t, h.parent)
+	psr, failed, err := decodeReport(f.Payload, field, DefaultMaxSources)
+	if err != nil || f.Epoch != 1 || len(failed) != 0 {
+		t.Fatalf("flush 1: epoch %d failed %v (%v), want no failed source", f.Epoch, failed, err)
+	}
+	if res, err := q.Evaluate(1, psr); err != nil || res.Sum != 1000 {
+		t.Fatalf("epoch 1: %+v (%v)", res, err)
+	}
+	h.node.Close()
+	<-h.runDone
+}
+
 // TestAggregatorLeaveDrainsSlot pins graceful departure: a child's leave
 // notice shrinks the aggregator's coverage, relays upstream ahead of any
 // later flush, and later epochs settle over the remaining children with the
@@ -520,5 +562,50 @@ func TestQuerierAccountsDepartedSources(t *testing.T) {
 	res = waitResult(t, qn)
 	if res.Err != nil || res.Sum != 7 {
 		t.Fatalf("epoch 3 after shrunken re-hello: %+v", res)
+	}
+}
+
+// TestQuerierLeaveWaitsForEarlierEpochs delivers a burst of epochs, a leave
+// and one post-leave epoch in one write. The verify workers may still hold
+// the earlier epochs when the reader meets the leave: those carry the
+// leaver's data, so they must verify under the membership they were sent in.
+func TestQuerierLeaveWaitsForEarlierEpochs(t *testing.T) {
+	q, sources, err := core.Setup(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merge := core.NewAggregator(q.Params().Field())
+	qn, err := NewQuerierNode("127.0.0.1:0", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go qn.Run()
+	defer qn.Close()
+	conn, _ := dialChild(t, qn.Addr(), []int{0, 1})
+	defer conn.Close()
+
+	const before = 16
+	var batch []byte
+	for e := prf.Epoch(1); e <= before; e++ {
+		psr0, _ := sources[0].Encrypt(e, 100)
+		psr1, _ := sources[1].Encrypt(e, 900)
+		batch = AppendFrame(batch, Frame{Type: TypePSR, Epoch: uint64(e), Payload: encodeReport(merge.Merge(psr0, psr1), nil)})
+	}
+	batch = AppendFrame(batch, Frame{Type: TypeLeave, Payload: core.EncodeContributors([]int{1})})
+	psr0, _ := sources[0].Encrypt(before+1, 5)
+	batch = AppendFrame(batch, Frame{Type: TypePSR, Epoch: before + 1, Payload: encodeReport(psr0, nil)})
+	if _, err := conn.Write(batch); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= before; i++ {
+		res := waitResult(t, qn)
+		switch {
+		case res.Err != nil:
+			t.Fatalf("epoch %d rejected: %v", res.Epoch, res.Err)
+		case res.Epoch <= before && (res.Sum != 1000 || res.Partial):
+			t.Fatalf("pre-leave epoch %d: %+v, want the full sum 1000", res.Epoch, res)
+		case res.Epoch == before+1 && (res.Sum != 5 || !res.Partial):
+			t.Fatalf("post-leave epoch: %+v, want partial sum 5", res)
+		}
 	}
 }

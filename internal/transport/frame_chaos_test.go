@@ -83,7 +83,22 @@ func (c *tornFrameCollector) acceptLoop() {
 	}
 }
 
-func (c *tornFrameCollector) close() (map[uint64]int, int) {
+// close stops accepting once all dialed connections were accepted: closing
+// the listener earlier would discard connections still in its backlog, and
+// with them frames the writer was told it delivered.
+func (c *tornFrameCollector) close(dialed int) (map[uint64]int, int) {
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		accepted := c.conns
+		c.mu.Unlock()
+		if accepted >= dialed {
+			break
+		}
+		if time.Now().After(deadline) {
+			c.t.Errorf("collector accepted %d of %d dialed connections", accepted, dialed)
+			break
+		}
+	}
 	c.ln.Close()
 	c.wg.Wait()
 	return c.seen, c.conns
@@ -98,6 +113,7 @@ type retryBatchSink struct {
 	conn    net.Conn
 	scratch net.Buffers
 	retries int
+	dials   int // successful dials
 }
 
 func (s *retryBatchSink) WriteBatch(segs [][]byte) error {
@@ -109,6 +125,7 @@ func (s *retryBatchSink) WriteBatch(segs [][]byte) error {
 				continue
 			}
 			s.conn = c
+			s.dials++
 		}
 		// net.Buffers consumes its receiver, so rebuild the view per attempt;
 		// the retained scratch keeps this allocation-free at steady state.
@@ -142,7 +159,6 @@ func TestFrameWriterNoTornFramesUnderChaos(t *testing.T) {
 		Sink:           sink,
 		MaxBatchBytes:  1 << 10, // small batches: many vectored writes, many fault draws
 		MaxBatchFrames: 16,
-		FlushDelay:     100 * time.Microsecond,
 	})
 	const epochs = 2000
 	for e := uint64(0); e < epochs; e++ {
@@ -160,7 +176,7 @@ func TestFrameWriterNoTornFramesUnderChaos(t *testing.T) {
 	if sink.conn != nil {
 		sink.conn.Close()
 	}
-	seen, conns := collector.close()
+	seen, conns := collector.close(sink.dials)
 	if t.Failed() {
 		return
 	}
@@ -185,7 +201,7 @@ func TestWriteFrameNoTornFramesUnderChaos(t *testing.T) {
 		ResetProb:         0.05,
 	})
 	var conn net.Conn
-	retries := 0
+	retries, dials := 0, 0
 	const epochs = 1500
 	for e := uint64(0); e < epochs; e++ {
 		p := chaosPayload(e)
@@ -200,6 +216,7 @@ func TestWriteFrameNoTornFramesUnderChaos(t *testing.T) {
 					continue
 				}
 				conn = c
+				dials++
 			}
 			if err := WriteFrame(conn, Frame{Type: TypePSR, Epoch: e, Payload: p[:]}); err == nil {
 				break
@@ -212,7 +229,7 @@ func TestWriteFrameNoTornFramesUnderChaos(t *testing.T) {
 	if conn != nil {
 		conn.Close()
 	}
-	seen, conns := collector.close()
+	seen, conns := collector.close(dials)
 	if t.Failed() {
 		return
 	}

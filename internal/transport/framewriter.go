@@ -4,17 +4,18 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"time"
 )
 
 // FrameWriter coalesces frames queued by one producer path into batches
-// flushed as a single vectored write — a latency-bounded replacement for
-// per-frame syscalls. Frames are encoded directly into a fixed-capacity
-// pooled batch buffer (encode→write→release, 0 allocs/op steady state); a
-// batch flushes when it fills (MaxBatchBytes / MaxBatchFrames) or when the
-// oldest queued frame has waited FlushDelay, whichever comes first. A single
-// flusher goroutine performs all sink writes, so batches reach the wire in
-// enqueue order.
+// flushed as a single vectored write — the replacement for per-frame
+// syscalls. Frames are encoded directly into a fixed-capacity pooled batch
+// buffer (encode→write→release, 0 allocs/op steady state). The writer never
+// holds a frame back: the flusher takes the building batch as soon as it is
+// free, so a batch is exactly the frames enqueued while the previous write was
+// in flight (capped by MaxBatchBytes / MaxBatchFrames). An idle link costs one
+// write per frame and no added latency; a busy one amortises its syscalls. A
+// single flusher goroutine performs all sink writes, so batches reach the wire
+// in enqueue order.
 //
 // Errors are sticky: once the sink fails, every later Enqueue returns the
 // error and queued batches are discarded, mirroring a dead connection. The
@@ -25,6 +26,7 @@ type FrameWriter struct {
 	mu    sync.Mutex
 	cur   *wbatch
 	queue []*wbatch // full batches awaiting the flusher, FIFO
+	spare []*wbatch // the flusher's reused drain list (flusher-only)
 	err   error     // sticky sink error
 
 	closed  bool
@@ -36,11 +38,10 @@ type FrameWriter struct {
 
 	pool sync.Pool // of *wbatch
 
-	flushes    uint64 // batches written
-	framesOut  uint64
-	bytesOut   uint64
-	timerFlush uint64 // batches flushed by deadline rather than size
-	dropped    uint64 // frames discarded after a sticky error
+	flushes   uint64 // batches written
+	framesOut uint64
+	bytesOut  uint64
+	dropped   uint64 // frames discarded after a sticky error
 }
 
 // FrameWriterConfig tunes a FrameWriter. Zero values select the defaults.
@@ -48,18 +49,15 @@ type FrameWriterConfig struct {
 	// Sink consumes flushed batches. Required.
 	Sink BatchSink
 
-	// MaxBatchBytes caps one batch's encoded size (default 32 KiB). A batch
-	// buffer of exactly this capacity is pooled and never reallocated, so
-	// frame encodings inside it stay stable for vectored writes.
+	// MaxBatchBytes caps one batch's encoded size (default 8 KiB: room for
+	// MaxBatchFrames report frames, and small enough that the two batch
+	// buffers every writer keeps resident stay cheap). A batch buffer of
+	// exactly this capacity is pooled and never reallocated, so frame
+	// encodings inside it stay stable for vectored writes.
 	MaxBatchBytes int
 
 	// MaxBatchFrames caps frames per batch (default 128).
 	MaxBatchFrames int
-
-	// FlushDelay bounds how long the oldest enqueued frame may wait before
-	// its batch is forced out (default 500µs) — the Nagle replacement with
-	// an explicit latency budget.
-	FlushDelay time.Duration
 
 	// MaxQueuedBatches bounds full batches awaiting the flusher before
 	// Enqueue blocks (default 4) — backpressure instead of unbounded memory.
@@ -107,7 +105,6 @@ type wbatch struct {
 	segs   [][]byte
 	frames int
 	bytes  int
-	first  time.Time // when the oldest frame was enqueued
 }
 
 func (b *wbatch) closeOpen() {
@@ -134,13 +131,10 @@ var ErrWriterClosed = errors.New("transport: frame writer closed")
 // its flusher goroutine.
 func NewFrameWriter(cfg FrameWriterConfig) *FrameWriter {
 	if cfg.MaxBatchBytes <= 0 {
-		cfg.MaxBatchBytes = 32 << 10
+		cfg.MaxBatchBytes = 8 << 10
 	}
 	if cfg.MaxBatchFrames <= 0 {
 		cfg.MaxBatchFrames = 128
-	}
-	if cfg.FlushDelay <= 0 {
-		cfg.FlushDelay = 500 * time.Microsecond
 	}
 	if cfg.MaxQueuedBatches <= 0 {
 		cfg.MaxQueuedBatches = 4
@@ -221,14 +215,16 @@ func (fw *FrameWriter) EnqueueAppend(t byte, epoch uint64, plen int, fill func(d
 	}
 	b.bytes += need
 	b.frames++
-	if b.frames == 1 {
-		b.first = time.Now()
-		fw.kickLocked()
-	}
+	fresh := b.frames == 1
 	if b.bytes >= fw.cfg.MaxBatchBytes || b.frames >= fw.cfg.MaxBatchFrames {
 		fw.rotateLocked()
 	}
 	fw.mu.Unlock()
+	if fresh {
+		// Wake an idle flusher after unlocking, so it does not wake only to
+		// block on fw.mu.
+		fw.wake()
+	}
 	return nil
 }
 
@@ -244,11 +240,12 @@ func (fw *FrameWriter) rotateLocked() bool {
 	}
 	fw.queue = append(fw.queue, fw.cur)
 	fw.cur = fw.pool.Get().(*wbatch)
-	fw.kickLocked()
+	fw.wake()
 	return true
 }
 
-func (fw *FrameWriter) kickLocked() {
+// wake nudges the flusher; a pending nudge already covers this one.
+func (fw *FrameWriter) wake() {
 	select {
 	case fw.kick <- struct{}{}:
 	default:
@@ -259,46 +256,28 @@ func (fw *FrameWriter) kickLocked() {
 // hit the wire strictly in enqueue order.
 func (fw *FrameWriter) run() {
 	defer fw.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	var timerC <-chan time.Time
 	for {
 		select {
 		case <-fw.kick:
-		case <-timerC:
-			timerC = nil
 		case <-fw.closeCh:
-			fw.drain(true, &timerC, timer)
+			fw.drain()
 			return
 		}
-		fw.drain(false, &timerC, timer)
+		fw.drain()
 	}
 }
 
-// drain writes every queued batch (and, at deadline or close, the current
-// partial batch), re-arming the flush timer for whatever remains.
-func (fw *FrameWriter) drain(final bool, timerC *<-chan time.Time, timer *time.Timer) {
+// drain writes every queued batch and the building batch, and repeats until
+// a pass finds nothing: frames enqueued during one write form the next batch.
+func (fw *FrameWriter) drain() {
 	for {
 		fw.mu.Lock()
-		batches := fw.queue
-		fw.queue = nil
-		stolen := -1 // index of a batch forced out by deadline, for stats
+		batches := append(fw.spare[:0], fw.queue...)
+		clear(fw.queue)
+		fw.queue = fw.queue[:0]
 		if fw.cur.frames > 0 {
-			dl := fw.cur.first.Add(fw.cfg.FlushDelay)
-			wait := time.Until(dl)
-			if final || wait <= 0 {
-				if !final {
-					stolen = len(batches)
-				}
-				batches = append(batches, fw.cur)
-				fw.cur = fw.pool.Get().(*wbatch)
-			} else if *timerC == nil {
-				timer.Reset(wait)
-				*timerC = timer.C
-			}
+			batches = append(batches, fw.cur)
+			fw.cur = fw.pool.Get().(*wbatch)
 		}
 		if len(batches) == 0 {
 			fw.writing = false
@@ -310,15 +289,17 @@ func (fw *FrameWriter) drain(final bool, timerC *<-chan time.Time, timer *time.T
 		fw.idle.Broadcast() // queue shrank: release backpressured enqueuers
 		fw.mu.Unlock()
 
-		for i, b := range batches {
-			fw.writeBatch(b, i == stolen)
+		for _, b := range batches {
+			fw.writeBatch(b)
 		}
+		clear(batches)
+		fw.spare = batches
 	}
 }
 
 // writeBatch sends one batch to the sink (unless a sticky error already
 // stands, in which case the frames are counted as dropped) and recycles it.
-func (fw *FrameWriter) writeBatch(b *wbatch, byDeadline bool) {
+func (fw *FrameWriter) writeBatch(b *wbatch) {
 	b.closeOpen()
 	fw.mu.Lock()
 	err := fw.err
@@ -335,9 +316,6 @@ func (fw *FrameWriter) writeBatch(b *wbatch, byDeadline bool) {
 			fw.flushes++
 			fw.framesOut += uint64(b.frames)
 			fw.bytesOut += uint64(b.bytes)
-			if byDeadline {
-				fw.timerFlush++
-			}
 			fw.mu.Unlock()
 			if fw.cfg.OnFlush != nil {
 				fw.cfg.OnFlush(b.frames, b.bytes)
@@ -356,13 +334,7 @@ func (fw *FrameWriter) writeBatch(b *wbatch, byDeadline bool) {
 // the sink (or discarded by a sticky error, which Flush then returns).
 func (fw *FrameWriter) Flush() error {
 	fw.mu.Lock()
-	if fw.cur.frames > 0 {
-		// Force the partial batch out rather than waiting for its deadline.
-		fw.queue = append(fw.queue, fw.cur)
-		fw.cur = fw.pool.Get().(*wbatch)
-		fw.kickLocked()
-	}
-	for (len(fw.queue) > 0 || fw.writing) && fw.err == nil {
+	for (fw.cur.frames > 0 || len(fw.queue) > 0 || fw.writing) && fw.err == nil {
 		fw.idle.Wait()
 	}
 	err := fw.err
@@ -392,13 +364,12 @@ func (fw *FrameWriter) Close() error {
 
 // FrameWriterStats is a point-in-time view of a writer's flush counters.
 type FrameWriterStats struct {
-	Flushes         uint64 // batches written to the sink
-	Frames          uint64 // frames written
-	Bytes           uint64 // encoded bytes written
-	DeadlineFlushes uint64 // batches forced out by FlushDelay
-	Dropped         uint64 // frames discarded after a sticky error
-	QueueDepth      int    // full batches currently awaiting the flusher
-	PendingFrames   int    // frames in the building batch
+	Flushes       uint64 // batches written to the sink
+	Frames        uint64 // frames written
+	Bytes         uint64 // encoded bytes written
+	Dropped       uint64 // frames discarded after a sticky error
+	QueueDepth    int    // full batches currently awaiting the flusher
+	PendingFrames int    // frames in the building batch
 }
 
 // Stats snapshots the writer's counters.
@@ -406,12 +377,11 @@ func (fw *FrameWriter) Stats() FrameWriterStats {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	return FrameWriterStats{
-		Flushes:         fw.flushes,
-		Frames:          fw.framesOut,
-		Bytes:           fw.bytesOut,
-		DeadlineFlushes: fw.timerFlush,
-		Dropped:         fw.dropped,
-		QueueDepth:      len(fw.queue),
-		PendingFrames:   fw.cur.frames,
+		Flushes:       fw.flushes,
+		Frames:        fw.framesOut,
+		Bytes:         fw.bytesOut,
+		Dropped:       fw.dropped,
+		QueueDepth:    len(fw.queue),
+		PendingFrames: fw.cur.frames,
 	}
 }

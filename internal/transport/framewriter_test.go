@@ -42,6 +42,29 @@ func (s *memSink) snapshot() ([]byte, int) {
 	return append([]byte(nil), s.data.Bytes()...), s.batches
 }
 
+// gateSink holds every batch at a gate until the test opens it. The writer
+// flushes as soon as its flusher is free, so a test holds frames back by
+// letting one write reach the gate: everything enqueued meanwhile piles up in
+// the building batch.
+type gateSink struct {
+	next    BatchSink
+	entered chan struct{} // signalled when a write reaches the gate
+	open    chan struct{} // closed to let every write through
+}
+
+func newGateSink(next BatchSink) *gateSink {
+	return &gateSink{next: next, entered: make(chan struct{}, 1), open: make(chan struct{})}
+}
+
+func (g *gateSink) WriteBatch(segs [][]byte) error {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.open
+	return g.next.WriteBatch(segs)
+}
+
 // readAll decodes every frame from raw, failing the test on any tear.
 func readAll(t *testing.T, raw []byte) []Frame {
 	t.Helper()
@@ -60,15 +83,22 @@ func readAll(t *testing.T, raw []byte) []Frame {
 	}
 }
 
+// TestFrameWriterCoalesces holds the first write at the gate and checks that
+// every frame enqueued meanwhile leaves in one batch, in order.
 func TestFrameWriterCoalesces(t *testing.T) {
 	sink := &memSink{}
-	fw := NewFrameWriter(FrameWriterConfig{Sink: sink, FlushDelay: time.Hour})
+	gate := newGateSink(sink)
+	fw := NewFrameWriter(FrameWriterConfig{Sink: gate})
 	const n = 50
 	for i := 0; i < n; i++ {
 		if err := fw.Enqueue(Frame{Type: TypePSR, Epoch: uint64(i), Payload: []byte{byte(i)}}); err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			<-gate.entered // the flusher is busy with frame 0
+		}
 	}
+	close(gate.open)
 	if err := fw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,36 +115,11 @@ func TestFrameWriterCoalesces(t *testing.T) {
 	if batches >= n {
 		t.Fatalf("no coalescing: %d batches for %d frames", batches, n)
 	}
+	if batches != 2 {
+		t.Fatalf("%d batches, want 2: frame 0 alone, then the %d held frames", batches, n-1)
+	}
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFrameWriterDeadlineFlush(t *testing.T) {
-	sink := &memSink{}
-	fw := NewFrameWriter(FrameWriterConfig{Sink: sink, FlushDelay: 5 * time.Millisecond})
-	defer fw.Close()
-	if err := fw.Enqueue(Frame{Type: TypePSR, Epoch: 9, Payload: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		raw, _ := sink.snapshot()
-		if len(raw) > 0 {
-			frames := readAll(t, raw)
-			if len(frames) != 1 || frames[0].Epoch != 9 {
-				t.Fatalf("deadline flush delivered %+v", frames)
-			}
-			st := fw.Stats()
-			if st.DeadlineFlushes == 0 {
-				t.Fatalf("flush not attributed to deadline: %+v", st)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("frame never flushed by deadline")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -124,7 +129,7 @@ func TestFrameWriterDeadlineFlush(t *testing.T) {
 func TestFrameWriterOrderUnderLoad(t *testing.T) {
 	sink := &memSink{}
 	fw := NewFrameWriter(FrameWriterConfig{
-		Sink: sink, MaxBatchBytes: 1 << 10, MaxBatchFrames: 7, FlushDelay: 100 * time.Microsecond,
+		Sink: sink, MaxBatchBytes: 1 << 10, MaxBatchFrames: 7,
 	})
 	const producers, perProducer = 4, 500
 	var wg sync.WaitGroup
@@ -166,7 +171,7 @@ func TestFrameWriterOrderUnderLoad(t *testing.T) {
 // through the dedicated-segment path without tearing neighbours.
 func TestFrameWriterOversizedFrame(t *testing.T) {
 	sink := &memSink{}
-	fw := NewFrameWriter(FrameWriterConfig{Sink: sink, MaxBatchBytes: 256, FlushDelay: time.Hour})
+	fw := NewFrameWriter(FrameWriterConfig{Sink: sink, MaxBatchBytes: 256})
 	big := bytes.Repeat([]byte{0xAB}, 4096)
 	if err := fw.Enqueue(Frame{Type: TypePSR, Epoch: 1, Payload: []byte("small")}); err != nil {
 		t.Fatal(err)
@@ -194,7 +199,7 @@ func TestFrameWriterOversizedFrame(t *testing.T) {
 // error and nothing further reaches the sink.
 func TestFrameWriterStickyError(t *testing.T) {
 	sink := &memSink{failAt: 1}
-	fw := NewFrameWriter(FrameWriterConfig{Sink: sink, FlushDelay: time.Millisecond})
+	fw := NewFrameWriter(FrameWriterConfig{Sink: sink})
 	defer fw.Close()
 	if err := fw.Enqueue(Frame{Type: TypePSR, Epoch: 1, Payload: []byte("x")}); err != nil {
 		t.Fatal(err) // the failure lands at flush time, not enqueue time
@@ -252,7 +257,7 @@ func TestFrameWriterConnSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fw := NewFrameWriter(FrameWriterConfig{Sink: &ConnSink{W: conn}, FlushDelay: 200 * time.Microsecond})
+	fw := NewFrameWriter(FrameWriterConfig{Sink: &ConnSink{W: conn}})
 	for i := 0; i < 200; i++ {
 		if err := fw.Enqueue(Frame{Type: TypePSR, Epoch: uint64(i), Payload: []byte(fmt.Sprintf("p%03d", i))}); err != nil {
 			t.Fatal(err)
@@ -288,17 +293,27 @@ func (s *devNullSink) WriteBatch(segs [][]byte) error {
 
 // TestFrameWriterEnqueueZeroAlloc is the acceptance gate: the steady-state
 // encode path (EnqueueAppend into a pooled batch buffer) allocates nothing.
+// The flusher is held at the gate, so every measured frame lands in the
+// building batch.
 func TestFrameWriterEnqueueZeroAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation inhibits stack allocation; gate runs in the non-race suite")
 	}
+	gate := newGateSink(&devNullSink{})
 	fw := NewFrameWriter(FrameWriterConfig{
-		Sink: &devNullSink{}, MaxBatchBytes: 1 << 20, MaxBatchFrames: 1 << 20, FlushDelay: time.Hour,
+		Sink: gate, MaxBatchBytes: 1 << 20, MaxBatchFrames: 1 << 20,
 	})
-	defer fw.Close()
+	defer func() {
+		close(gate.open)
+		fw.Close()
+	}()
 	payload := bytes.Repeat([]byte{0x5A}, 36+4)
 	fill := func(dst []byte) { copy(dst, payload) }
 	var epoch uint64
+	if err := fw.EnqueueAppend(TypePSR, epoch, len(payload), fill); err != nil {
+		t.Fatal(err)
+	}
+	<-gate.entered
 	allocs := testing.AllocsPerRun(2000, func() {
 		epoch++
 		if err := fw.EnqueueAppend(TypePSR, epoch, len(payload), fill); err != nil {

@@ -91,9 +91,8 @@ type mergeScratch struct {
 }
 
 // mergeWorker consumes claimed epochs until the plane stops. A flush error on
-// a live node fails the Run loop, matching the serial plane's behaviour; on a
-// closed or crashed node the remaining jobs are dropped, as the old loop
-// dropped its pending map on exit.
+// a live node fails the Run loop; on a closed or crashed node the remaining
+// jobs are dropped.
 func (a *AggregatorNode) mergeWorker() {
 	defer a.plane.wg.Done()
 	var w mergeScratch
@@ -194,13 +193,7 @@ func (a *AggregatorNode) flushEpoch(t uint64, w *mergeScratch) error {
 		psr := core.PSR{C: a.field.Reduce512(word)}
 		out = Frame{Type: TypePSR, Epoch: t, Payload: encodeReport(psr, failed)}
 	}
-	var err error
-	if a.upfw != nil {
-		err = a.upfw.Enqueue(out)
-	} else {
-		err = a.upstream.Write(out)
-	}
-	if err != nil {
+	if err := a.upfw.Enqueue(out); err != nil {
 		// Not journaled as committed: after a restart the contributions replay
 		// and the epoch re-flushes — at-least-once delivery, which the
 		// querier's committed window dedups into exactly-once.

@@ -43,8 +43,7 @@ type querierObs struct {
 	fenceRejects   *obs.Counter // uncommitted frames dropped at or below the root fence
 	evalSeconds    *obs.Histogram
 
-	// Pipelined-path stage instrumentation (always registered; flat zeros
-	// when the serial path serves).
+	// Serve-pipeline stage instrumentation.
 	pipeJobs           *obs.Counter   // frames entering the decode/verify stage
 	pipeIngestDepth    *obs.Gauge     // jobs queued between ingest and workers
 	pipeAckBatchFrames *obs.Histogram // result acks coalesced per vectored write
@@ -241,9 +240,7 @@ func (o *aggObs) bind(a *AggregatorNode) {
 		func() float64 { return float64(a.table.open.Load()) })
 	o.reg.GaugeFunc("sies_agg_merge_queue_depth", "claimed epochs queued for the merge workers",
 		func() float64 { return float64(len(a.plane.jobs)) })
-	if a.upfw != nil {
-		bindFrameWriter(o.reg, "sies_agg_upstream", a.upfw)
-	}
+	bindFrameWriter(o.reg, "sies_agg_upstream", a.upfw)
 }
 
 // bindFrameWriter registers a coalescing writer's counters under prefix.
@@ -254,8 +251,6 @@ func bindFrameWriter(reg *obs.Registry, prefix string, fw *FrameWriter) {
 		func() uint64 { return fw.Stats().Frames })
 	reg.CounterFunc(prefix+"_bytes_total", "encoded bytes written through the coalescing writer",
 		func() uint64 { return fw.Stats().Bytes })
-	reg.CounterFunc(prefix+"_deadline_flushes_total", "batches forced out by the flush deadline",
-		func() uint64 { return fw.Stats().DeadlineFlushes })
 	reg.GaugeFunc(prefix+"_queue_depth", "full batches awaiting the flusher",
 		func() float64 { return float64(fw.Stats().QueueDepth) })
 }
@@ -283,7 +278,5 @@ func (o *sourceObs) bind(s *SourceNode) {
 		func() uint64 { return uint64(s.Reconnects()) })
 	o.reg.CounterFunc("sies_source_failovers_total", "escalations to the next candidate parent address",
 		func() uint64 { return uint64(s.Failovers()) })
-	if s.fw != nil {
-		bindFrameWriter(o.reg, "sies_source", s.fw)
-	}
+	bindFrameWriter(o.reg, "sies_source", s.fw)
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -131,25 +130,20 @@ type SourceConfig struct {
 	// Metrics is the registry the node's counters expose through; nil gives
 	// the node a private registry (reachable via Metrics()).
 	Metrics *obs.Registry
-	// Coalesce batches outgoing PSR frames through a FrameWriter over the
-	// redialing link: reports enqueue into a pooled buffer and a short flush
-	// deadline (FrameWriterConfig.FlushDelay) bounds the added latency. Nil
-	// keeps the classic one-write-syscall-per-report path. The config's Sink
-	// is ignored — the redialer is always the sink.
-	Coalesce *FrameWriterConfig
 }
 
 // SourceNode is a leaf sensor process: it encrypts readings and streams the
 // PSRs to its parent aggregator, redialing with backoff when the link drops.
+// Reports enqueue on a FrameWriter whose sink is the redialing link.
 type SourceNode struct {
 	src *core.Source
 	rd  *redialer
 	obs *sourceObs
 
-	// Coalescing state (nil fw = unbatched). psrWire + fill let Report hand
-	// the encoded PSR to EnqueueAppend without a per-call closure allocation;
-	// the fill callback runs synchronously inside EnqueueAppend, so the
-	// single-threaded Report contract keeps psrWire safe.
+	// psrWire + fill let Report hand the encoded PSR to EnqueueAppend without
+	// a per-call closure allocation; the fill callback runs synchronously
+	// inside EnqueueAppend, so the single-threaded Report contract keeps
+	// psrWire safe.
 	fw      *FrameWriter
 	psrWire [core.PSRSize]byte
 	fill    func([]byte)
@@ -194,15 +188,11 @@ func DialSourceWith(cfg SourceConfig, src *core.Source) (*SourceNode, error) {
 		return nil, fmt.Errorf("transport: source %d dialing parent: %w", src.ID(), err)
 	}
 	node := &SourceNode{src: src, rd: rd, obs: newSourceObs(cfg.Metrics)}
-	if cfg.Coalesce != nil {
-		fwCfg := *cfg.Coalesce
-		fwCfg.Sink = redialSink{rd: rd}
-		node.fw = NewFrameWriter(fwCfg)
-		node.fill = func(dst []byte) {
-			copy(dst, node.psrWire[:])
-			// Empty failed-source list: u32 zero count.
-			dst[core.PSRSize], dst[core.PSRSize+1], dst[core.PSRSize+2], dst[core.PSRSize+3] = 0, 0, 0, 0
-		}
+	node.fw = NewFrameWriter(FrameWriterConfig{Sink: redialSink{rd: rd}})
+	node.fill = func(dst []byte) {
+		copy(dst, node.psrWire[:])
+		// Empty failed-source list: u32 zero count.
+		dst[core.PSRSize], dst[core.PSRSize+1], dst[core.PSRSize+2], dst[core.PSRSize+3] = 0, 0, 0, 0
 	}
 	node.obs.bind(node)
 	return node, nil
@@ -221,15 +211,8 @@ func (s *SourceNode) Report(t prf.Epoch, v uint64) error {
 	if err != nil {
 		return err
 	}
-	if s.fw != nil {
-		s.psrWire = psr.Bytes()
-		if err := s.fw.EnqueueAppend(TypePSR, uint64(t), core.PSRSize+4, s.fill); err != nil {
-			return err
-		}
-		s.obs.reports.Inc()
-		return nil
-	}
-	if err := s.rd.Write(Frame{Type: TypePSR, Epoch: uint64(t), Payload: encodeReport(psr, nil)}); err != nil {
+	s.psrWire = psr.Bytes()
+	if err := s.fw.EnqueueAppend(TypePSR, uint64(t), core.PSRSize+4, s.fill); err != nil {
 		return err
 	}
 	s.obs.reports.Inc()
@@ -251,18 +234,18 @@ func (s *SourceNode) Metrics() *obs.Registry { return s.obs.reg }
 // Call it from a drain path, before Close. Best-effort: a dead parent link
 // just means the departure is discovered by timeout, as before.
 func (s *SourceNode) Leave() error {
-	if s.fw != nil {
-		s.fw.Flush()
+	if err := s.fw.Enqueue(Frame{Type: TypeLeave, Payload: core.EncodeContributors([]int{s.src.ID()})}); err != nil {
+		return err
 	}
-	return s.rd.Write(Frame{Type: TypeLeave, Payload: core.EncodeContributors([]int{s.src.ID()})})
+	return s.fw.Flush()
 }
 
-// Close flushes any coalesced frames still queued, then terminates the
-// connection; the parent treats subsequent epochs as failures of this source.
+// Close flushes any frames still queued, then terminates the connection; the
+// parent treats subsequent epochs as failures of this source. A link that is
+// down at Close is not redialled: its queued frames are dropped.
 func (s *SourceNode) Close() error {
-	if s.fw != nil {
-		s.fw.Close()
-	}
+	s.rd.abortRetries()
+	s.fw.Close()
 	return s.rd.Close()
 }
 
@@ -340,7 +323,7 @@ type AggregatorNode struct {
 
 	state *aggState // durable crash-recovery state; nil without a StateDir
 	obs   *aggObs
-	upfw  *FrameWriter // coalescing upstream writer; nil = unbatched
+	upfw  *FrameWriter // coalescing upstream writer over the redialer
 }
 
 // childState is one child slot. Fields are written only under a.mu's write
@@ -420,18 +403,6 @@ type AggregatorConfig struct {
 	// TraceCapacity sizes the epoch-lifecycle trace ring (default
 	// obs.DefaultTraceCapacity).
 	TraceCapacity int
-	// Coalesce batches upstream PSR/failure frames through a FrameWriter over
-	// the redialing parent link — catch-up bursts (reconnects, recovered
-	// epochs) collapse into vectored writes. The config's Sink is ignored; the
-	// upstream redialer is always the sink. Nil keeps one write per flush.
-	//
-	// The commit record is journaled once the frame is queued rather than once
-	// it reaches the parent's TCP buffer, so a process crash can additionally
-	// lose up to one coalescing window (FlushDelay) of flushed epochs — the
-	// same class of loss as the parent crashing before reading, and bounded by
-	// the same at-least-once recovery: epochs never committed re-flush on
-	// restart from replayed contributions.
-	Coalesce *FrameWriterConfig
 	// Dial and Listen replace net.Dial / net.Listen — chaos injection hooks.
 	Dial   func(network, addr string) (net.Conn, error)
 	Listen func(network, addr string) (net.Listener, error)
@@ -549,11 +520,10 @@ func NewAggregatorNode(cfg AggregatorConfig, field *uint256.Field) (*AggregatorN
 		a.closeAll()
 		return nil, fmt.Errorf("transport: aggregator dialing parent: %w", err)
 	}
-	if cfg.Coalesce != nil {
-		fwCfg := *cfg.Coalesce
-		fwCfg.Sink = redialSink{rd: up}
-		a.upfw = NewFrameWriter(fwCfg)
-	}
+	// Upstream frames coalesce over the redialing link. A flush is committed
+	// once its frame is queued (DESIGN.md §12): a crash loses at most the one
+	// batch not yet written, and those epochs were never acknowledged.
+	a.upfw = NewFrameWriter(FrameWriterConfig{Sink: redialSink{rd: up}})
 	// Announce the initial children so the querier's contributor view starts
 	// populated (best-effort, like every member event).
 	for _, c := range a.children {
@@ -607,26 +577,13 @@ func (a *AggregatorNode) helloCovers() []int {
 // label identifies this aggregator in member events: its listen address.
 func (a *AggregatorNode) label() string { return a.ln.Addr().String() }
 
-// sendUpstreamBestEffort forwards an auxiliary (member) frame upstream
-// without engaging the redial loop: when the parent link is down the frame is
-// dropped — the view reconciles from later events, and blocking the event
-// loop on observability traffic would stall aggregation.
+// sendUpstreamBestEffort queues an auxiliary (member, hello, leave) frame on
+// the upstream writer, in order with the data flushes, without waiting for
+// the write. A frame lost with a dead link is reconciled from later events.
 func (a *AggregatorNode) sendUpstreamBestEffort(f Frame) {
-	if a.upfw != nil {
-		if a.upfw.Enqueue(f) == nil {
-			a.obs.memberForwards.Inc()
-		}
-		return
+	if a.upfw.Enqueue(f) == nil {
+		a.obs.memberForwards.Inc()
 	}
-	c := a.upstream.current()
-	if c == nil {
-		return
-	}
-	if err := WriteFrame(c, f); err != nil {
-		a.upstream.markDead(c)
-		return
-	}
-	a.obs.memberForwards.Inc()
 }
 
 // sendMember emits one membership event about this node's own child slots.
@@ -645,10 +602,10 @@ func (a *AggregatorNode) Leave() error {
 	if len(ids) == 0 {
 		return nil
 	}
-	if a.upfw != nil {
-		a.upfw.Flush()
+	if err := a.upfw.Enqueue(Frame{Type: TypeLeave, Payload: core.EncodeContributors(ids)}); err != nil {
+		return err
 	}
-	return a.upstream.Write(Frame{Type: TypeLeave, Payload: core.EncodeContributors(ids)})
+	return a.upfw.Flush()
 }
 
 // UpstreamReconnects counts how many times the upstream link was
@@ -664,11 +621,20 @@ func (a *AggregatorNode) Metrics() *obs.Registry { return a.obs.reg }
 // Tracer returns the node's epoch-lifecycle tracer (report → flush spans).
 func (a *AggregatorNode) Tracer() *obs.Tracer { return a.obs.tracer }
 
-// track registers a live child connection for shutdown bookkeeping.
-func (a *AggregatorNode) track(conn net.Conn) {
+// track registers a live child connection for shutdown bookkeeping. A node
+// that is already closed owns no new connections: the conn is closed instead,
+// so nothing accepted in the instant before Close or Crash outlives it.
+// Reports whether the conn was registered.
+func (a *AggregatorNode) track(conn net.Conn) bool {
 	a.mu.Lock()
+	if a.closed {
+		a.mu.Unlock()
+		conn.Close()
+		return false
+	}
 	a.conns[conn] = struct{}{}
 	a.mu.Unlock()
+	return true
 }
 
 // forget closes and unregisters a child connection.
@@ -679,7 +645,8 @@ func (a *AggregatorNode) forget(conn net.Conn) {
 	conn.Close()
 }
 
-func (a *AggregatorNode) closeAll() {
+// closeConns closes and unregisters every tracked child connection.
+func (a *AggregatorNode) closeConns() {
 	a.mu.Lock()
 	conns := make([]net.Conn, 0, len(a.conns))
 	for c := range a.conns {
@@ -690,12 +657,19 @@ func (a *AggregatorNode) closeAll() {
 	for _, c := range conns {
 		c.Close()
 	}
+}
+
+func (a *AggregatorNode) closeAll() {
+	a.closeConns()
 	if a.ln != nil {
 		a.ln.Close()
 	}
 	if a.upfw != nil {
-		// Deliver queued upstream frames before severing the link (a no-op
-		// when Crash already severed it — the flusher's writes fail fast).
+		// Deliver queued upstream frames before severing the link, without
+		// redialling a dead one (the flusher's writes then fail fast, as
+		// after Crash). Nil only when construction failed before the parent
+		// was dialled.
+		a.upstream.abortRetries()
 		a.upfw.Close()
 	}
 	if a.upstream != nil {
@@ -746,7 +720,7 @@ func (a *AggregatorNode) Crash() {
 		// commit is what actually leaves an unsynced window.
 		st.store.Abandon()
 	}
-	if a.upfw != nil {
+	if a.upstream != nil {
 		// Sever the upstream link first so queued coalesced frames are
 		// dropped (a crashed process delivers nothing), not flushed.
 		a.upstream.Close()
@@ -785,6 +759,19 @@ type aggEvent struct {
 	covers  []int  // 'h': the hello's coverage; 'l': the departing ids
 	fence   uint64 // 'h': the hello's fence epoch
 	payload []byte // 'm': the relayed member payload (copied)
+	// applied, when set, is closed once the event loop has applied (or, on
+	// shutdown, discarded) the event. A child reader waits on it after a
+	// mid-stream hello or leave: the frames behind it in the stream were
+	// sent under the new coverage, so they must not be ingested under the
+	// old one.
+	applied chan struct{}
+}
+
+// settle closes ev.applied, if any.
+func (ev aggEvent) settle() {
+	if ev.applied != nil {
+		close(ev.applied)
+	}
 }
 
 // recomputeRegular refreshes the allRegular cache: whether every slot is
@@ -959,16 +946,11 @@ func (a *AggregatorNode) Run() error {
 	readChild := func(child, gen int, conn net.Conn) {
 		defer wg.Done()
 		defer a.forget(conn)
-		// On the batched plane, buffered frame reads drain a coalescing
-		// child's whole batch in one syscall. Nothing downstream retains the
-		// payload — decodeReport and DecodeContributorsBounded copy what they
-		// keep — so the reader's recycled buffer is safe here. The classic
-		// plane keeps unbuffered reads: one syscall per frame, by design.
-		var r io.Reader = conn
-		if a.upfw != nil {
-			r = bufio.NewReader(conn)
-		}
-		fr := NewFrameReader(r)
+		// Buffered frame reads drain a coalescing child's whole batch in one
+		// syscall. Nothing downstream retains the payload — decodeReport and
+		// DecodeContributorsBounded copy what they keep — so the reader's
+		// recycled buffer is safe here.
+		fr := NewFrameReader(bufio.NewReader(conn))
 		for {
 			if a.idleTimeout > 0 {
 				conn.SetReadDeadline(time.Now().Add(a.idleTimeout))
@@ -1005,14 +987,18 @@ func (a *AggregatorNode) Run() error {
 					ch <- aggEvent{kind: 'd', child: child, gen: gen}
 					return
 				}
-				ch <- aggEvent{kind: 'h', child: child, gen: gen, conn: conn, covers: covers, fence: f.Epoch}
+				applied := make(chan struct{})
+				ch <- aggEvent{kind: 'h', child: child, gen: gen, conn: conn, covers: covers, fence: f.Epoch, applied: applied}
+				<-applied
 			case TypeLeave:
 				ids, err := core.DecodeContributorsBounded(f.Payload, a.maxSources)
 				if err != nil {
 					ch <- aggEvent{kind: 'd', child: child, gen: gen}
 					return
 				}
-				ch <- aggEvent{kind: 'l', child: child, gen: gen, covers: ids}
+				applied := make(chan struct{})
+				ch <- aggEvent{kind: 'l', child: child, gen: gen, covers: ids, applied: applied}
+				<-applied
 			case TypeMember:
 				// Relay a descendant's membership event towards the querier.
 				ch <- aggEvent{kind: 'm', child: child, gen: gen,
@@ -1035,7 +1021,9 @@ func (a *AggregatorNode) Run() error {
 			if err != nil {
 				return // listener closed: shutting down
 			}
-			a.track(conn)
+			if !a.track(conn) {
+				return // accepted just as the node closed
+			}
 			wg.Add(1)
 			go func(conn net.Conn) {
 				defer wg.Done()
@@ -1150,6 +1138,13 @@ func (a *AggregatorNode) Run() error {
 	attach := func(ev aggEvent) {
 		key := coversKey(ev.covers)
 		a.mu.Lock()
+		if a.closed {
+			// Shutting down: a reader spawned now would outlive the sweep
+			// that closes every tracked conn.
+			a.mu.Unlock()
+			a.forget(ev.conn)
+			return
+		}
 		idx := ev.child
 		if idx < 0 {
 			// Accept-path hello: match a returning child to its slot by its
@@ -1168,6 +1163,7 @@ func (a *AggregatorNode) Run() error {
 		// join for it would mislabel an interior subtree as the sources'
 		// immediate parent in the querier's view.
 		attached := ev.child < 0
+		spawn := false // a reader for ev.conn starts once the upstream knows its coverage
 		var slot *childState
 		switch {
 		case idx >= 0 && ev.child >= 0:
@@ -1191,8 +1187,7 @@ func (a *AggregatorNode) Run() error {
 				old.Close() // superseded: the child's new dial wins
 			}
 			slot.conn = ev.conn
-			wg.Add(1)
-			go readChild(idx, slot.gen, ev.conn)
+			spawn = true
 		default:
 			// Unknown coverage set: a re-homing child, when allowed.
 			if !a.acceptNew {
@@ -1207,8 +1202,7 @@ func (a *AggregatorNode) Run() error {
 			a.children = append(a.children, slot)
 			idx = len(a.children) - 1
 			coverageChanged = true
-			wg.Add(1)
-			go readChild(idx, 1, ev.conn)
+			spawn = true
 		}
 		if ev.fence > slot.fence {
 			slot.fence = ev.fence
@@ -1262,6 +1256,7 @@ func (a *AggregatorNode) Run() error {
 			}
 		}
 		joinCovers := slot.covers // replaced wholesale: header copy safe past unlock
+		gen := slot.gen
 		a.mu.Unlock()
 
 		a.obs.childrenGauge.Set(int64(liveSlots))
@@ -1276,6 +1271,65 @@ func (a *AggregatorNode) Run() error {
 		if attached {
 			a.sendMember(memberJoin, joinCovers)
 		}
+		if spawn {
+			// Only now: the coverage hello is queued ahead of any flush that
+			// carries this child's data.
+			wg.Add(1)
+			go readChild(idx, gen, ev.conn)
+		}
+	}
+
+	// leave applies a child's graceful-leave notice.
+	leave := func(ev aggEvent) {
+		// A graceful leave covering the slot's whole remaining coverage
+		// drains the slot: its absence from future epochs is expected,
+		// not a failure. A partial leave (some ids of a subtree drained)
+		// just shrinks the coverage claim.
+		a.mu.Lock()
+		slot := a.children[ev.child]
+		if ev.gen != slot.gen {
+			a.mu.Unlock()
+			return
+		}
+		left := idsIntersect(slot.covers, ev.covers)
+		if len(left) == 0 {
+			a.mu.Unlock()
+			return
+		}
+		slot.covers = idsMinus(slot.covers, left)
+		slot.key = coversKey(slot.covers)
+		fullLeave := len(slot.covers) == 0
+		if fullLeave {
+			slot.departed = true
+			// Drop the leaver's in-flight reports: every flush written
+			// after the leave relay below must carry neither the
+			// leaver's data nor a claim about it, or the querier —
+			// which excludes departed sources from the contributor
+			// set — would reject the epoch. An epoch straddling the
+			// boundary degrades to partial, never to a wrong SUM.
+			a.table.sweepChild(ev.child)
+		}
+		a.covers = idsMinus(a.covers, left)
+		a.memberGen.Add(1)
+		a.recomputeRegular()
+		a.mu.Unlock()
+		if fullLeave {
+			// Barrier: a merge worker may already have extracted a flush
+			// still carrying the leaver's data. Wait until every in-flight
+			// flush has queued its upstream frame before queueing the
+			// Leave (the writer keeps queue order), so the querier never
+			// sees post-leave frames naming the leaver. Partial leaves
+			// keep the claim, so they need none.
+			a.plane.drain()
+		}
+		a.sendMember(memberLeave, left)
+		// Tell the parent too: its covered union must shrink before its
+		// next flush, or every future epoch reads as partial.
+		a.sendUpstreamBestEffort(Frame{Type: TypeLeave, Payload: core.EncodeContributors(left)})
+		a.mu.Lock()
+		ts := settledClaims()
+		a.mu.Unlock()
+		submitAll(ts)
 	}
 
 	// The tick drives both deadline flushes and the exit check, so it must be
@@ -1292,13 +1346,17 @@ func (a *AggregatorNode) Run() error {
 		// would otherwise deadlock the shutdown. Only then stop the merge
 		// plane: with the readers gone nothing submits any more, and workers
 		// flushing against the closed node fail fast (fail() drops the error).
+		// Close is a no-op after Close or Crash, so sweep the tracked conns
+		// here too: with closed set, track and attach admit no new ones.
 		a.Close()
+		a.closeConns()
 		done := make(chan struct{})
 		go func() { wg.Wait(); close(done) }()
 	drained:
 		for {
 			select {
-			case <-ch:
+			case ev := <-ch:
+				ev.settle()
 			case <-done:
 				break drained
 			}
@@ -1322,6 +1380,7 @@ func (a *AggregatorNode) Run() error {
 			switch ev.kind {
 			case 'h':
 				attach(ev)
+				ev.settle()
 			case 'd':
 				a.mu.Lock()
 				slot := a.children[ev.child]
@@ -1349,54 +1408,8 @@ func (a *AggregatorNode) Run() error {
 				a.sendMember(memberOrphan, orphanIDs)
 				submitAll(ts)
 			case 'l':
-				// A graceful leave covering the slot's whole remaining coverage
-				// drains the slot: its absence from future epochs is expected,
-				// not a failure. A partial leave (some ids of a subtree drained)
-				// just shrinks the coverage claim.
-				a.mu.Lock()
-				slot := a.children[ev.child]
-				if ev.gen != slot.gen {
-					a.mu.Unlock()
-					continue
-				}
-				left := idsIntersect(slot.covers, ev.covers)
-				if len(left) == 0 {
-					a.mu.Unlock()
-					continue
-				}
-				slot.covers = idsMinus(slot.covers, left)
-				slot.key = coversKey(slot.covers)
-				fullLeave := len(slot.covers) == 0
-				if fullLeave {
-					slot.departed = true
-					// Drop the leaver's in-flight reports: every flush written
-					// after the leave relay below must carry neither the
-					// leaver's data nor a claim about it, or the querier —
-					// which excludes departed sources from the contributor
-					// set — would reject the epoch. An epoch straddling the
-					// boundary degrades to partial, never to a wrong SUM.
-					a.table.sweepChild(ev.child)
-				}
-				a.covers = idsMinus(a.covers, left)
-				a.memberGen.Add(1)
-				a.recomputeRegular()
-				a.mu.Unlock()
-				if fullLeave {
-					// Barrier: a merge worker may already have extracted a flush
-					// still carrying the leaver's data. Wait for every in-flight
-					// flush (upstream write included) before relaying the Leave,
-					// so the querier never sees post-leave frames naming the
-					// leaver. Partial leaves keep the claim, so they need none.
-					a.plane.drain()
-				}
-				a.sendMember(memberLeave, left)
-				// Tell the parent too: its covered union must shrink before its
-				// next flush, or every future epoch reads as partial.
-				a.sendUpstreamBestEffort(Frame{Type: TypeLeave, Payload: core.EncodeContributors(left)})
-				a.mu.Lock()
-				ts := settledClaims()
-				a.mu.Unlock()
-				submitAll(ts)
+				leave(ev)
+				ev.settle()
 			case 'm':
 				a.mu.RLock()
 				stale := ev.gen != a.children[ev.child].gen
@@ -1495,10 +1508,8 @@ type QuerierNode struct {
 	lnClosed  bool
 	crashed   bool
 
-	pipeline *PipelineConfig // non-nil selects the pipelined serve path
 	// forMu serializes forensics mutation (quarantine ticks, localization)
-	// across pipelined workers; the serial path is single-threaded and never
-	// contends on it.
+	// across pipeline workers.
 	forMu sync.Mutex
 }
 
@@ -1527,12 +1538,6 @@ type QuerierConfig struct {
 	// TraceCapacity sizes the epoch-lifecycle trace ring (default
 	// obs.DefaultTraceCapacity).
 	TraceCapacity int
-	// Pipeline, when non-nil, runs the batched ingest/verify/commit pipeline:
-	// frames decode and verify on worker goroutines while earlier epochs
-	// journal and fsync, commits share group-commit fsyncs, and result acks
-	// coalesce into vectored writes. Results may emit out of epoch order. Nil
-	// keeps the classic serial serve loop.
-	Pipeline *PipelineConfig
 }
 
 // NewQuerierNode starts listening for the root aggregator. Evaluation runs
@@ -1580,11 +1585,6 @@ func NewQuerierNodeConfig(cfg QuerierConfig, q *core.Querier) (*QuerierNode, err
 		return nil, err
 	}
 	qn.ln = ln
-	if cfg.Pipeline != nil {
-		p := *cfg.Pipeline
-		p.applyDefaults()
-		qn.pipeline = &p
-	}
 	qn.obs.bind(qn)
 	return qn, nil
 }
@@ -1625,8 +1625,6 @@ func (qn *QuerierNode) Crash() {
 	if st != nil {
 		// Power-loss grade: journal records not yet covered by an fsync are
 		// gone — exactly what the group-commit append-to-fsync window risks.
-		// For the serial path (fsync riding every append) this truncates
-		// nothing beyond what Abandon would lose.
 		st.store.CrashAbandon()
 	}
 	qn.ln.Close()
@@ -1779,123 +1777,19 @@ func (qn *QuerierNode) serve(conn net.Conn) error {
 	if err := WriteFrame(conn, Frame{Type: TypeHello, Epoch: resync}); err != nil {
 		return nil
 	}
-
-	if qn.pipeline != nil {
-		return qn.servePipelined(conn)
-	}
-
-	field := qn.q.Params().Field()
-	ackable := true // stop acking (but keep evaluating) once the root is gone
-	for {
-		f, err := ReadFrame(conn)
-		if err != nil {
-			return nil // root closed or crashed: await its redial
-		}
-		t := prf.Epoch(f.Epoch)
-		// A frame for an epoch already committed — the root re-sending after
-		// a crash on either side — is answered from the remembered ack, never
-		// re-evaluated or re-emitted.
-		if ack, committed := qn.committedAck(t); committed {
-			if f.Type == TypePSR && ackable {
-				reply := EncodeResult(ack.sum, ack.ok)
-				if err := WriteFrame(conn, Frame{Type: TypeResult, Epoch: f.Epoch, Payload: reply}); err != nil {
-					ackable = false
-				}
-			}
-			continue
-		}
-		// Uncommitted data frames at or below the fence are suspect: a newer
-		// root declared those epochs may have travelled via a previous link
-		// (re-parenting), so a zombie's late flush is dropped, never evaluated.
-		if (f.Type == TypePSR || f.Type == TypeFailure) && qn.fencedEpoch(f.Epoch) {
-			qn.obs.fenceRejects.Inc()
-			continue
-		}
-		switch f.Type {
-		case TypeHello:
-			// A mid-stream hello refreshes the root's coverage claim (a subtree
-			// re-homed below it) and may raise the fence.
-			qn.noteRootFence(f.Epoch)
-		case TypeMember:
-			if ev, err := decodeMember(f.Payload, qn.q.Params().N()); err == nil {
-				qn.tree.apply(ev)
-			}
-		case TypeLeave:
-			if ids, err := core.DecodeContributorsBounded(f.Payload, qn.q.Params().N()); err == nil {
-				qn.tree.apply(memberEvent{kind: memberLeave, label: conn.RemoteAddr().String(), ids: ids})
-			}
-		case TypePSR:
-			qn.obs.tracer.Begin(f.Epoch)
-			qn.obs.tracer.Mark(f.Epoch, obs.StageReport)
-			psr, failed, err := decodeReport(f.Payload, field, qn.q.Params().N())
-			if err != nil {
-				qn.record(EpochResult{Epoch: t, Err: err})
-				continue
-			}
-			failed = qn.withDeparted(failed)
-			var contributors []int // nil = all sources, the schedule's fast path
-			if len(failed) > 0 {
-				contributors = core.Subtract(qn.q.Params().N(), failed)
-			}
-			start := time.Now()
-			res, evalErr := qn.sched.Evaluate(t, psr, contributors)
-			qn.obs.evalSeconds.Observe(time.Since(start).Seconds())
-			out := EpochResult{Epoch: t, Failed: failed, Partial: len(failed) > 0, Err: evalErr}
-			switch {
-			case evalErr == nil:
-				qn.obs.tracer.Mark(f.Epoch, obs.StageVerify)
-				out.Sum = res.Sum
-				out.Contributors = res.N
-				out.Coverage = float64(res.N) / float64(qn.q.Params().N())
-				qn.tickForensics()
-			case qn.forensics != nil && integrityRejection(evalErr):
-				qn.obs.tracer.Mark(f.Epoch, obs.StageReject)
-				qn.obs.tracer.Mark(f.Epoch, obs.StageForensics)
-				out = qn.recover(t, failed, out)
-			default:
-				qn.obs.tracer.Mark(f.Epoch, obs.StageReject)
-			}
-			qn.record(out)
-			if ackable {
-				ack := EncodeResult(out.Sum, out.Err == nil)
-				if err := WriteFrame(conn, Frame{Type: TypeResult, Epoch: f.Epoch, Payload: ack}); err != nil {
-					// The root departed after sending its final epochs; its
-					// remaining frames are still buffered — keep evaluating
-					// them, just stop acknowledging.
-					ackable = false
-				}
-			}
-		case TypeFailure:
-			qn.obs.tracer.Begin(f.Epoch)
-			qn.obs.tracer.Mark(f.Epoch, obs.StageReport)
-			failed, err := core.DecodeContributorsBounded(f.Payload, qn.q.Params().N())
-			if err != nil {
-				qn.record(EpochResult{Epoch: t, Err: err})
-				continue
-			}
-			qn.record(EpochResult{Epoch: t, Partial: true, Failed: failed, Err: ErrNoContributors})
-		}
-	}
+	return qn.servePipelined(conn)
 }
 
 // record commits the epoch durably (when a state directory is configured),
 // updates the health summary and the resync point, and emits the result. The
-// journal append fsyncs before the result leaves the node, so a committed
-// epoch survives any crash that follows.
-func (qn *QuerierNode) record(res EpochResult) {
-	qn.recordWith(res, false)
-}
-
-// recordWith is record's shared core. With grouped=false (the serial serve
-// loop) the commit fsync rides the journal append. With grouped=true (the
-// pipelined workers) the append happens under qn.mu but the fsync is deferred
-// to a group-commit SyncTo outside the lock, so concurrent epochs share one
-// fsync; the emit still strictly follows durability. The returned ackInfo and
-// flag tell the caller what to acknowledge: grouped callers racing on the
-// same epoch get the stored ack of whoever committed first (the
-// concurrent-duplicate guard — the epoch is emitted exactly once), and a
-// crashed node acknowledges nothing.
-func (qn *QuerierNode) recordWith(res EpochResult, grouped bool) (ackInfo, bool) {
+// journal append happens under qn.mu but the fsync is a group-commit SyncTo
+// outside the lock, so concurrently committing workers share one fsync; the
+// emit still strictly follows durability, so a committed epoch survives any
+// crash that follows. The returned ackInfo and flag tell the caller what to
+// acknowledge: workers racing on the same epoch get the stored ack of whoever
+// committed first (the concurrent-duplicate guard — the epoch is emitted
+// exactly once), and a crashed node acknowledges nothing.
+func (qn *QuerierNode) record(res EpochResult) (ackInfo, bool) {
 	qn.mu.Lock()
 	if qn.crashed {
 		// A killed process delivers nothing: committing or emitting here would
@@ -1903,16 +1797,14 @@ func (qn *QuerierNode) recordWith(res EpochResult, grouped bool) (ackInfo, bool)
 		qn.mu.Unlock()
 		return ackInfo{}, false
 	}
-	if grouped {
-		// Two workers can carry the same epoch past the ingest dedup check;
-		// the second one lands here and re-acks instead of double-committing.
-		if ack, ok := qn.committed.get(uint64(res.Epoch)); ok {
-			if qn.state != nil {
-				qn.state.ctr.dedupHits.Add(1)
-			}
-			qn.mu.Unlock()
-			return ack, true
+	// Two workers can carry the same epoch past the ingest dedup check; the
+	// second one lands here and re-acks instead of double-committing.
+	if ack, ok := qn.committed.get(uint64(res.Epoch)); ok {
+		if qn.state != nil {
+			qn.state.ctr.dedupHits.Add(1)
 		}
+		qn.mu.Unlock()
+		return ack, true
 	}
 	if uint64(res.Epoch) > qn.lastEval {
 		qn.lastEval = uint64(res.Epoch)
@@ -1954,11 +1846,7 @@ func (qn *QuerierNode) recordWith(res EpochResult, grouped bool) (ackInfo, bool)
 	var syncOff int64
 	if kind != kindRejected {
 		qn.committed.put(uint64(res.Epoch), ackInfo{sum: res.Sum, ok: res.Err == nil})
-		if grouped {
-			syncOff = qn.commitDurableNoSync(res, kind)
-		} else {
-			qn.commitDurable(res, kind)
-		}
+		syncOff = qn.appendCommit(res, kind)
 		qn.obs.tracer.Mark(uint64(res.Epoch), obs.StageCommit)
 	}
 	qn.mu.Unlock()
@@ -1976,7 +1864,7 @@ func (qn *QuerierNode) recordWith(res EpochResult, grouped bool) (ackInfo, bool)
 				return ackInfo{}, false
 			}
 			// A real IO error degrades durability (counted above) but the
-			// verified result still serves, matching the serial path.
+			// verified result still serves.
 		}
 	}
 	qn.obs.tracer.End(uint64(res.Epoch), outcome)

@@ -1,18 +1,16 @@
-// Pipelined querier ingest: the batched replacement for the serial serve
-// loop. One goroutine reads frames off the root connection (recycling a
-// single payload buffer), worker goroutines decode and verify epochs
-// concurrently, and commits go through the journal's group-commit path — the
-// append happens under qn.mu, the fsync is shared across whatever set of
-// workers is committing at that moment. Result acks coalesce through a
-// FrameWriter into vectored writes on the same connection.
+// Pipelined querier ingest: the querier's one serve path. One goroutine
+// reads frames off the root connection (recycling a single payload buffer),
+// worker goroutines decode and verify epochs concurrently, and commits go
+// through the journal's group-commit path — the append happens under qn.mu,
+// the fsync is shared across whatever set of workers is committing at that
+// moment. Result acks coalesce through a FrameWriter into vectored writes on
+// the same connection.
 //
-// The consistency contract of the serial path is preserved exactly: a commit
-// is on stable storage before its result is emitted or acked (fsync-before-
-// emit, DESIGN.md §12), an epoch is emitted at most once (the committed
-// window plus recordWith's concurrent-duplicate guard), and a crashed node
-// emits nothing. What changes is only ordering: epochs may verify, commit and
-// emit out of epoch order, which every consumer of Results already tolerates
-// (the restart soak and the simulator key results by epoch).
+// The consistency contract: a commit is on stable storage before its result
+// is emitted or acked (fsync-before-emit, DESIGN.md §12), an epoch is emitted
+// at most once (the committed window plus record's concurrent-duplicate
+// guard), and a crashed node emits nothing. Epochs may verify, commit and
+// emit out of epoch order; consumers of Results key them by epoch.
 package transport
 
 import (
@@ -28,33 +26,16 @@ import (
 	"github.com/sies/sies/internal/prf"
 )
 
-// PipelineConfig tunes the querier's pipelined serve path. Zero values select
-// the defaults.
-type PipelineConfig struct {
-	// Workers is the number of decode/verify goroutines (default
-	// min(4, GOMAXPROCS)). One worker still pipelines: epoch t+1 decodes
-	// while epoch t's fsync is in flight on the journal.
-	Workers int
-	// Depth bounds decoded-but-unclaimed frames between the ingest reader and
-	// the workers (default 128) — backpressure against a root that bursts
+const (
+	// maxPipelineWorkers caps the decode/verify goroutines; a node runs
+	// min(maxPipelineWorkers, GOMAXPROCS). One worker still pipelines: epoch
+	// t+1 decodes while epoch t's fsync is in flight on the journal.
+	maxPipelineWorkers = 4
+	// pipelineDepth bounds decoded-but-unclaimed frames between the ingest
+	// reader and the workers — backpressure against a root that bursts
 	// faster than verification drains.
-	Depth int
-	// Ack tunes the result-ack FrameWriter (batch sizes, flush deadline).
-	// Its Sink is ignored — acks always write to the serving connection.
-	Ack FrameWriterConfig
-}
-
-func (p *PipelineConfig) applyDefaults() {
-	if p.Workers <= 0 {
-		p.Workers = runtime.GOMAXPROCS(0)
-		if p.Workers > 4 {
-			p.Workers = 4
-		}
-	}
-	if p.Depth <= 0 {
-		p.Depth = 128
-	}
-}
+	pipelineDepth = 128
+)
 
 // pipeJob is one frame in flight between the ingest reader and a worker. The
 // payload is copied out of the FrameReader's recycled buffer; jobs themselves
@@ -70,23 +51,25 @@ var pipeJobPool = sync.Pool{New: func() any { return new(pipeJob) }}
 // servePipelined handles one root connection until it closes. The caller
 // (serve) has already completed the hello handshake.
 func (qn *QuerierNode) servePipelined(conn net.Conn) error {
-	cfg := qn.pipeline
-	ackCfg := cfg.Ack
-	ackCfg.Sink = &ConnSink{W: conn}
-	if ackCfg.OnFlush == nil {
-		ackCfg.OnFlush = func(frames, _ int) {
+	ackW := NewFrameWriter(FrameWriterConfig{
+		Sink: &ConnSink{W: conn},
+		OnFlush: func(frames, _ int) {
 			qn.obs.pipeAckBatchFrames.Observe(float64(frames))
-		}
-	}
-	ackW := NewFrameWriter(ackCfg)
+		},
+	})
 
-	jobs := make(chan *pipeJob, cfg.Depth)
+	jobs := make(chan *pipeJob, pipelineDepth)
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.Workers; i++ {
+	// inflight counts jobs handed to the workers and not yet recorded.
+	// Membership changes wait for it: a leave or join moves the departed set
+	// that verification subtracts, so epochs ahead of it in the stream must
+	// verify under the old set.
+	var inflight sync.WaitGroup
+	for i := 0; i < min(maxPipelineWorkers, runtime.GOMAXPROCS(0)); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			qn.pipeWorker(jobs, ackW)
+			qn.pipeWorker(jobs, ackW, &inflight)
 		}()
 	}
 
@@ -115,11 +98,13 @@ func (qn *QuerierNode) servePipelined(conn net.Conn) error {
 			continue
 		case TypeMember:
 			if ev, err := decodeMember(f.Payload, qn.q.Params().N()); err == nil {
+				inflight.Wait()
 				qn.tree.apply(ev)
 			}
 			continue
 		case TypeLeave:
 			if ids, err := core.DecodeContributorsBounded(f.Payload, qn.q.Params().N()); err == nil {
+				inflight.Wait()
 				qn.tree.apply(memberEvent{kind: memberLeave, label: conn.RemoteAddr().String(), ids: ids})
 			}
 			continue
@@ -137,6 +122,7 @@ func (qn *QuerierNode) servePipelined(conn net.Conn) error {
 		job.typ, job.epoch = f.Type, f.Epoch
 		job.payload = append(job.payload[:0], f.Payload...)
 		qn.obs.pipeJobs.Inc()
+		inflight.Add(1)
 		jobs <- job
 		qn.obs.pipeIngestDepth.Set(int64(len(jobs)))
 	}
@@ -149,10 +135,9 @@ func (qn *QuerierNode) servePipelined(conn net.Conn) error {
 	return nil
 }
 
-// pipeWorker decodes, verifies and records jobs until the channel closes.
-// Each worker mirrors one iteration of the serial serve loop; recordWith's
-// grouped mode supplies the cross-worker commit coordination.
-func (qn *QuerierNode) pipeWorker(jobs <-chan *pipeJob, ackW *FrameWriter) {
+// pipeWorker decodes, verifies and records jobs until the channel closes;
+// record supplies the cross-worker commit coordination.
+func (qn *QuerierNode) pipeWorker(jobs <-chan *pipeJob, ackW *FrameWriter, inflight *sync.WaitGroup) {
 	n := qn.q.Params().N()
 	field := qn.q.Params().Field()
 	for job := range jobs {
@@ -166,7 +151,7 @@ func (qn *QuerierNode) pipeWorker(jobs <-chan *pipeJob, ackW *FrameWriter) {
 			psr, failed, err := decodeReport(job.payload, field, n)
 			if err != nil {
 				out = EpochResult{Epoch: t, Err: err}
-				ackable = false // the serial path records decode garbage without acking
+				ackable = false // decode garbage is recorded, never acked
 				break
 			}
 			failed = qn.withDeparted(failed)
@@ -207,19 +192,20 @@ func (qn *QuerierNode) pipeWorker(jobs <-chan *pipeJob, ackW *FrameWriter) {
 			} else {
 				out = EpochResult{Epoch: t, Partial: true, Failed: failed, Err: ErrNoContributors}
 			}
-			ackable = false // failure frames are never acked, matching serial
+			ackable = false // failure frames are never acked
 		}
-		ack, ok := qn.recordWith(out, true)
+		ack, ok := qn.record(out)
 		if ok && ackable {
 			qn.enqueueAck(ackW, job.epoch, ack)
 		}
 		pipeJobPool.Put(job)
+		inflight.Done()
 	}
 }
 
 // enqueueAck queues one result ack on the coalescing writer. Ack failures are
-// tolerated exactly like the serial path's: the root departed, evaluation
-// continues, and re-sent epochs re-ack once it returns.
+// tolerated: the root departed, evaluation continues, and re-sent epochs
+// re-ack once it returns.
 func (qn *QuerierNode) enqueueAck(ackW *FrameWriter, epoch uint64, ack ackInfo) {
 	_ = ackW.EnqueueAppend(TypeResult, epoch, 9, func(dst []byte) {
 		binary.BigEndian.PutUint64(dst, ack.sum)

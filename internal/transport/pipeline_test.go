@@ -9,9 +9,9 @@ import (
 	"github.com/sies/sies/internal/prf"
 )
 
-// buildPipelinedCluster is buildCluster with batching at every hop: sources
-// and aggregators coalesce outgoing frames through FrameWriters, the querier
-// runs the pipelined serve path.
+// buildPipelinedCluster builds a two-level tree of 4 sources: sources and
+// aggregators coalesce outgoing frames through FrameWriters, the querier
+// runs its serve pipeline.
 func buildPipelinedCluster(t *testing.T) (*QuerierNode, []*SourceNode, func()) {
 	t.Helper()
 	q, sources, err := core.Setup(4)
@@ -20,10 +20,7 @@ func buildPipelinedCluster(t *testing.T) (*QuerierNode, []*SourceNode, func()) {
 	}
 	field := q.Params().Field()
 
-	qn, err := NewQuerierNodeConfig(QuerierConfig{
-		ListenAddr: "127.0.0.1:0",
-		Pipeline:   &PipelineConfig{Workers: 4},
-	}, q)
+	qn, err := NewQuerierNodeConfig(QuerierConfig{ListenAddr: "127.0.0.1:0"}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +42,6 @@ func buildPipelinedCluster(t *testing.T) (*QuerierNode, []*SourceNode, func()) {
 			node, err := NewAggregatorNode(AggregatorConfig{
 				ListenAddr: listen, ParentAddr: parent,
 				NumChildren: children, Timeout: timeout,
-				Coalesce: &FrameWriterConfig{},
 			}, field)
 			if err != nil {
 				t.Errorf("aggregator %s: %v", listen, err)
@@ -67,10 +63,7 @@ func buildPipelinedCluster(t *testing.T) (*QuerierNode, []*SourceNode, func()) {
 		if i >= 2 {
 			addr = agg1Addr
 		}
-		n, err := DialSourceWith(SourceConfig{
-			ParentAddr: addr,
-			Coalesce:   &FrameWriterConfig{},
-		}, s)
+		n, err := DialSource(addr, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,10 +132,7 @@ func TestPipelinedQuerierDedupAndAcks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qn, err := NewQuerierNodeConfig(QuerierConfig{
-		ListenAddr: "127.0.0.1:0",
-		Pipeline:   &PipelineConfig{Workers: 4},
-	}, q)
+	qn, err := NewQuerierNodeConfig(QuerierConfig{ListenAddr: "127.0.0.1:0"}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +215,6 @@ func TestPipelinedGroupCommitSharesFsyncs(t *testing.T) {
 	qn, err := NewQuerierNodeConfig(QuerierConfig{
 		ListenAddr: "127.0.0.1:0", StateDir: dir,
 		CheckpointEvery: 10_000, // keep every commit in the journal
-		Pipeline:        &PipelineConfig{Workers: 4},
 	}, q)
 	if err != nil {
 		t.Fatal(err)
@@ -283,10 +272,7 @@ func TestPipelinedCrashBetweenAppendAndSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	cfg := QuerierConfig{
-		ListenAddr: "127.0.0.1:0", StateDir: dir,
-		Pipeline: &PipelineConfig{Workers: 1},
-	}
+	cfg := QuerierConfig{ListenAddr: "127.0.0.1:0", StateDir: dir}
 	qn1, err := NewQuerierNodeConfig(cfg, q)
 	if err != nil {
 		t.Fatal(err)

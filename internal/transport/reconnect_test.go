@@ -86,8 +86,9 @@ func TestSourceReconnectBackoff(t *testing.T) {
 		t.Fatalf("epoch 1: %+v", res)
 	}
 
-	// The link dies. The flaky source's report blocks retrying with backoff
-	// while the aggregator times the source out and flushes a partial epoch.
+	// The link dies. The flaky source's report is queued and its writer
+	// blocks retrying with backoff while the aggregator times the source out
+	// and flushes a partial epoch.
 	inj.SetOffline(true)
 	dialsBefore := inj.DialAttempts()
 	reported := make(chan error, 1)
@@ -107,6 +108,11 @@ func TestSourceReconnectBackoff(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	inj.SetOffline(false)
 	if err := <-reported; err != nil {
+		t.Fatalf("report after recovery: %v", err)
+	}
+	// Report only queues the frame; Flush waits for the writer's redial to
+	// hand it to the healed link.
+	if err := flaky.fw.Flush(); err != nil {
 		t.Fatalf("report after recovery: %v", err)
 	}
 	if flaky.Reconnects() < 1 {

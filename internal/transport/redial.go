@@ -13,9 +13,9 @@ var errNodeClosed = errors.New("transport: node closed")
 
 // redialer maintains a child's upstream connection across failures. Every
 // (re)connect performs the hello handshake — send the subtree-coverage hello,
-// read the parent's hello-ack carrying its resync epoch — and Write
+// read the parent's hello-ack carrying its resync epoch — and writeBuffers
 // transparently redials with exponential backoff + jitter when the link dies,
-// retrying the in-flight frame on the fresh connection.
+// retrying the in-flight batch on the fresh connection.
 //
 // A redialer may hold a ranked list of candidate parent addresses. Retrying
 // spends the Backoff budget (MaxElapsed / MaxAttempts) per address: when the
@@ -35,7 +35,7 @@ var errNodeClosed = errors.New("transport: node closed")
 //
 // The read side of the connection is handed to onConn (the parent only ever
 // sends the hello-ack and, for the querier, result acks); the drain goroutine
-// it starts is expected to call markDead on read failure so the next Write
+// it starts is expected to call markDead on read failure so the next write
 // redials instead of writing into a dead socket's buffer.
 type redialer struct {
 	dials            []func() (net.Conn, error)
@@ -52,7 +52,8 @@ type redialer struct {
 	connects  int
 	failovers int // escalations to the next candidate parent
 	closed    bool
-	closeCh   chan struct{}
+	closeCh   chan struct{} // closed by abortRetries: retry loops give up
+	stopOnce  sync.Once
 
 	scratch net.Buffers // writeBuffers' reusable vectored-write view
 }
@@ -260,27 +261,11 @@ func (r *redialer) retrySend(send func(net.Conn) error, maxEpoch uint64) error {
 	}
 }
 
-// Write sends f, redialing with backoff when the connection is down or dies
-// mid-write. It returns nil once the frame was handed to a healthy
-// connection, errNodeClosed after Close, or the last failure once the retry
-// budget of every candidate parent is exhausted.
-func (r *redialer) Write(f Frame) error {
-	var maxEpoch uint64
-	if f.Type == TypePSR || f.Type == TypeFailure {
-		maxEpoch = f.Epoch
-	}
-	if c := r.current(); c != nil {
-		r.noteEpoch(maxEpoch)
-		if err := WriteFrame(c, f); err == nil {
-			return nil
-		}
-		r.markDead(c)
-	}
-	return r.retrySend(func(c net.Conn) error { return WriteFrame(c, f) }, maxEpoch)
-}
-
 // writeBuffers sends a coalesced batch of pre-encoded frames as one vectored
-// write, redialing with backoff exactly like Write. On any failure the whole
+// write, redialing with backoff when the connection is down or dies
+// mid-write. It returns nil once the batch was handed to a healthy
+// connection, errNodeClosed after Close, or the last failure once the retry
+// budget of every candidate parent is exhausted. On any failure the whole
 // batch is re-sent on a fresh connection — receivers may see duplicate frames
 // (the committed-epoch window dedups them) but never torn ones, since a dead
 // stream's tail is discarded at the receiver's next read error. A batch
@@ -347,6 +332,12 @@ type redialSink struct{ rd *redialer }
 
 func (s redialSink) WriteBatch(segs [][]byte) error { return s.rd.writeBuffers(segs) }
 
+// abortRetries makes every current and later retry loop give up with
+// errNodeClosed while a live connection stays usable. Owners call it before
+// draining their writer on shutdown, so closing never waits out a backoff
+// budget against a dead parent.
+func (r *redialer) abortRetries() { r.stopOnce.Do(func() { close(r.closeCh) }) }
+
 // Close tears the connection down and aborts in-flight retries.
 func (r *redialer) Close() error {
 	r.mu.Lock()
@@ -358,7 +349,7 @@ func (r *redialer) Close() error {
 	c := r.conn
 	r.conn = nil
 	r.mu.Unlock()
-	close(r.closeCh)
+	r.abortRetries()
 	if c != nil {
 		c.Close()
 	}

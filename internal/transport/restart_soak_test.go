@@ -161,10 +161,10 @@ func (c *restartCluster) Restart(role chaos.CrashRole, id int) error {
 
 // armSyncWindowKill installs a one-shot crash in the current querier
 // generation's beforeSync hook — after a group-commit batch appended, before
-// the shared fsync made it durable. That is the one window batching opens
-// that the serial path never had; the kill proves the truncation-on-recovery
-// story by landing exactly there. The driver keeps pumping epochs (commits
-// must flow for the hook to fire) and reaps the crash on later iterations.
+// the shared fsync made it durable. That is the one window group commit
+// opens; the kill proves the truncation-on-recovery story by landing exactly
+// there. The driver keeps pumping epochs (commits must flow for the hook to
+// fire) and reaps the crash on later iterations.
 // Returns false without arming when the querier or aggregator is already
 // down, or a previous armed kill is still pending.
 func (c *restartCluster) armSyncWindowKill() bool {
@@ -261,18 +261,10 @@ func (c *restartCluster) metricsHandler() http.Handler {
 // is exactly the sum of its contributor set's readings, no committed epoch is
 // ever answered twice, and nothing is rejected. Crashes are transport
 // Crash() calls — no graceful flush, no final fsync — and every restart
-// rebuilds the process from its state directory alone.
-func TestRestartChaosSoak(t *testing.T) { runRestartChaosSoak(t, false) }
-
-// TestRestartChaosSoakPipelined runs the same seeded crash plan over the
-// batched I/O plane: coalescing sources, a coalescing root aggregator and the
-// pipelined querier. On top of the plan's kills it aims extra querier crashes
-// into the group-commit append-to-fsync window (killInSyncWindow), the only
-// new durability exposure batching introduces, and holds the soak to the same
-// exactly-once verdict: no wrong SUM, no epoch answered twice.
-func TestRestartChaosSoakPipelined(t *testing.T) { runRestartChaosSoak(t, true) }
-
-func runRestartChaosSoak(t *testing.T, pipelined bool) {
+// rebuilds the process from its state directory alone. On top of the plan's
+// kills it aims extra querier crashes into the group-commit append-to-fsync
+// window (armSyncWindowKill) and holds them to the same verdict.
+func TestRestartChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("restart soak is long; skipped with -short")
 	}
@@ -316,10 +308,6 @@ func runRestartChaosSoak(t *testing.T, pipelined bool) {
 		},
 		results: make(chan EpochResult, 2*epochs+64),
 	}
-	if pipelined {
-		c.qCfg.Pipeline = &PipelineConfig{Workers: 4}
-		c.aCfg.Coalesce = &FrameWriterConfig{}
-	}
 
 	if err := c.startQuerier(); err != nil {
 		t.Fatal(err)
@@ -357,11 +345,7 @@ func runRestartChaosSoak(t *testing.T, pipelined bool) {
 
 	srcs := make([]*SourceNode, nSources)
 	for i, s := range sources {
-		scfg := SourceConfig{ParentAddr: aggAddr, Backoff: backoff}
-		if pipelined {
-			scfg.Coalesce = &FrameWriterConfig{}
-		}
-		srcs[i], err = DialSourceWith(scfg, s)
+		srcs[i], err = DialSourceWith(SourceConfig{ParentAddr: aggAddr, Backoff: backoff}, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,9 +374,9 @@ func runRestartChaosSoak(t *testing.T, pipelined bool) {
 
 	// Drive: queue the epoch to every reporter BEFORE applying the plan, so a
 	// restarting aggregator always has sources knocking, then crash/restart
-	// per the plan. Kills land with the epoch's reports still in flight. The
-	// pipelined soak additionally aims a querier kill into the group-commit
-	// append-to-fsync window every 40 epochs.
+	// per the plan. Kills land with the epoch's reports still in flight. A
+	// querier kill is additionally aimed into the group-commit append-to-fsync
+	// window every 40 epochs.
 	windowKills := 0
 	for e := prf.Epoch(1); e <= epochs; e++ {
 		for i := range epochCh {
@@ -401,17 +385,15 @@ func runRestartChaosSoak(t *testing.T, pipelined bool) {
 		if err := plan.Apply(e, c); err != nil {
 			t.Fatal(err)
 		}
-		if pipelined {
-			killed, err := c.reapSyncWindowKill()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if killed {
-				windowKills++
-			}
-			if e%40 == 17 {
-				c.armSyncWindowKill()
-			}
+		killed, err := c.reapSyncWindowKill()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if killed {
+			windowKills++
+		}
+		if e%40 == 17 {
+			c.armSyncWindowKill()
 		}
 		time.Sleep(pace)
 	}
@@ -422,14 +404,12 @@ func runRestartChaosSoak(t *testing.T, pipelined bool) {
 			t.Fatal(err)
 		}
 	}
-	if pipelined {
-		killed, err := c.settleSyncWindowKill()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if killed {
-			windowKills++
-		}
+	killed, err := c.settleSyncWindowKill()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if killed {
+		windowKills++
 	}
 
 	// Let in-flight epochs settle (deadline flushes included), then shut down
@@ -534,16 +514,12 @@ func runRestartChaosSoak(t *testing.T, pipelined bool) {
 	t.Logf("served %d/%d (full %d, partial %d, empty %d, lost %d), %d sync-window kills, dedup hits %d, querier replay %d recs, agg replay %d recs",
 		served, epochs, full, partial, empty, lost,
 		windowKills, qStats.DedupHits, qStats.ReplayedRecords, aggStats.ReplayedRecords)
-	if pipelined && windowKills < 3 {
+	if windowKills < 3 {
 		t.Errorf("only %d sync-window kills landed, want >= 3 (commits not flowing?)", windowKills)
 	}
 
-	name := "restart-chaos-soak"
-	if pipelined {
-		name = "restart-chaos-soak-pipelined"
-	}
 	writeRestartStats(t, restartSoakReport{
-		Name: name, Seed: seed, Epochs: epochs,
+		Name: "restart-chaos-soak", Seed: seed, Epochs: epochs,
 		Crashes: plan.Crashes(), QuerierCrashes: qCrashes, AggCrashes: aCrashes,
 		SyncWindowKills: windowKills,
 		Served:          served, Lost: lost, Full: full, Partial: partial, Empty: empty,
