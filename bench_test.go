@@ -554,7 +554,7 @@ func BenchmarkAggregatorMerge(b *testing.B) {
 }
 
 // BenchmarkDeriver compares per-epoch key derivation through the one-shot
-// HMAC helpers (fresh key schedule per call) against the pad-caching Deriver
+// HMAC helpers (fresh key schedule per call) against the fixed-shape Deriver
 // engine. The Deriver rows must report 0 allocs/op.
 func BenchmarkDeriver(b *testing.B) {
 	key := make([]byte, prf.LongTermKeySize)

@@ -33,14 +33,18 @@ type benchRow struct {
 	GitRev       string  `json:"gitrev"`
 }
 
+// benchFile is one BENCH_<suite>.json. NProc and GOMAXPROCS record the host
+// shape the rows were measured on.
 type benchFile struct {
-	Suite     string     `json:"suite"`
-	GitRev    string     `json:"gitrev"`
-	GoVersion string     `json:"go_version"`
-	GOOS      string     `json:"goos"`
-	GOARCH    string     `json:"goarch"`
-	Generated string     `json:"generated"`
-	Rows      []benchRow `json:"rows"`
+	Suite      string     `json:"suite"`
+	GitRev     string     `json:"gitrev"`
+	GoVersion  string     `json:"go_version"`
+	GOOS       string     `json:"goos"`
+	GOARCH     string     `json:"goarch"`
+	NProc      int        `json:"nproc"`
+	GOMAXPROCS int        `json:"gomaxprocs"`
+	Generated  string     `json:"generated"`
+	Rows       []benchRow `json:"rows"`
 }
 
 // gitRev identifies the commit the benchmark binary was built from. The
@@ -82,13 +86,15 @@ func gitRev() string {
 // writeBenchJSON writes BENCH_<suite>.json in the current directory.
 func writeBenchJSON(suite string, rows []benchRow) error {
 	f := benchFile{
-		Suite:     suite,
-		GitRev:    gitRev(),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Rows:      rows,
+		Suite:      suite,
+		GitRev:     gitRev(),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Generated:  time.Now().UTC().Format(time.RFC3339),
+		Rows:       rows,
 	}
 	for i := range f.Rows {
 		f.Rows[i].GitRev = f.GitRev
@@ -105,9 +111,11 @@ func writeBenchJSON(suite string, rows []benchRow) error {
 	return nil
 }
 
-// hotpath measures the PR's two kernels — the lazy-reduction aggregator
-// merge and the pad-caching HMAC Deriver — against their historical
-// counterparts, asserting the zero-allocation contract as it goes.
+// hotpath measures the zero-allocation kernels — the lazy-reduction
+// aggregator merge and the fixed-shape HMAC Deriver — against their
+// historical counterparts, asserting the zero-allocation contract as it goes.
+// derive/range is the querier's per-epoch fan-out at the largest N, per
+// source.
 func hotpath() error {
 	ns := []int{64, 256, 1024}
 	if *flagQuick {
@@ -182,16 +190,52 @@ func hotpath() error {
 		}
 	})
 	printRow(record("hm256/oneshot", 1, oneShot))
-	deriver := testing.Benchmark(func(b *testing.B) {
+	for _, k := range []struct {
+		op     string
+		derive func(prf.Epoch)
+	}{
+		{"hm256/deriver", func(t prf.Epoch) { d.Epoch256(t) }},
+		{"hm1/deriver", func(t prf.Epoch) { d.Epoch1(t) }},
+	} {
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.derive(prf.Epoch(i))
+			}
+		})
+		row := record(k.op, 1, r)
+		printRow(row)
+		if row.AllocsPerOp != 0 {
+			return fmt.Errorf("%s allocates %d times per op, want 0", k.op, row.AllocsPerOp)
+		}
+	}
+
+	// The querier's per-epoch fan-out over every source; the row is per
+	// source, so it compares directly with the single-key rows above.
+	n := ns[len(ns)-1]
+	rd := prf.NewRingDerivers(q.KeyRing())
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	var sink byte
+	visit := func(_ int, kit [prf.Size256]byte, ss [prf.Size1]byte) error {
+		sink ^= kit[0] ^ ss[0]
+		return nil
+	}
+	fan := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			d.Epoch256(prf.Epoch(i))
+			if err := rd.DeriveRange(prf.Epoch(i), ids, visit); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
-	derRow := record("hm256/deriver", 1, deriver)
-	printRow(derRow)
-	if derRow.AllocsPerOp != 0 {
-		return fmt.Errorf("hm256/deriver allocates %d times per op, want 0", derRow.AllocsPerOp)
+	fan.T /= time.Duration(n) // ns/op per source; allocs/op stay per sweep
+	fanRow := record("derive/range", n, fan)
+	printRow(fanRow)
+	if fanRow.AllocsPerOp != 0 {
+		return fmt.Errorf("derive/range N=%d allocates %d times per op, want 0", n, fanRow.AllocsPerOp)
 	}
 
 	if *flagJSON {
@@ -200,6 +244,6 @@ func hotpath() error {
 		}
 	}
 	fmt.Println("\nShape check: lazy merge ≥2x below the reduce-per-child path at every N,")
-	fmt.Println("and both new kernels report 0 allocs/op.")
+	fmt.Println("and the merge and Deriver kernels report 0 allocs/op.")
 	return nil
 }

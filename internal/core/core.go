@@ -157,7 +157,7 @@ func Setup(n int, opts ...Option) (*Querier, []*Source, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	q := &Querier{params: params, ring: ring}
+	q := newQuerier(params, ring)
 	sources := make([]*Source, n)
 	for i := range sources {
 		global, ki, err := ring.SourceCredentials(i)
@@ -191,7 +191,11 @@ func NewQuerier(ring *prf.KeyRing, params Params) (*Querier, error) {
 	if ring.N() != params.N() {
 		return nil, fmt.Errorf("sies: key ring covers %d sources, params expect %d", ring.N(), params.N())
 	}
-	return &Querier{params: params, ring: ring}, nil
+	return newQuerier(params, ring), nil
+}
+
+func newQuerier(params Params, ring *prf.KeyRing) *Querier {
+	return &Querier{params: params, ring: ring, all: allIDs(ring.N())}
 }
 
 // Source is a leaf sensor holding (K, kᵢ, p). It holds reusable HMAC
@@ -367,6 +371,7 @@ type Result struct {
 type Querier struct {
 	params Params
 	ring   *prf.KeyRing
+	all    []int // [0, N): the full contributor set, read-only
 
 	derivOnce sync.Once
 	deriv     *prf.RingDerivers
@@ -430,7 +435,7 @@ func (q *Querier) PrepareEpoch(t prf.Epoch, contributors []int) (*EpochState, er
 		return nil, err
 	}
 	if ids == nil {
-		ids = allIDs(q.ring.N())
+		ids = q.all
 	}
 	return q.prepareParallel(t, ids, 1)
 }

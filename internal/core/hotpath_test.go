@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/sies/sies/internal/prf"
@@ -125,4 +126,40 @@ func TestSourceEncryptSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("same-epoch Encrypt: %.1f allocs/op, want 0", n)
 	}
 	_ = sink
+}
+
+// A full-set Schedule miss derives over the querier's read-only [0, N) id
+// list, never a per-epoch copy of the N ids (8 KiB at N=1024). What it may
+// allocate is fixed: the EpochState it returns, its cache entry (entry, done
+// channel, LRU element) and the field inversion's scratch.
+func TestScheduleMissAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation gates are unreliable under the race detector")
+	}
+	q, _, err := Setup(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSchedule(q, ScheduleConfig{Workers: 1, CacheSize: 1})
+	epoch := prf.Epoch(1)
+	if _, err := s.EpochState(epoch, nil); err != nil { // build the derivers
+		t.Fatal(err)
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := testing.AllocsPerRun(runs, func() {
+		epoch++
+		if _, err := s.EpochState(epoch, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if n > 5 {
+		t.Fatalf("full-set Schedule miss: %.0f allocs/op, want at most 5", n)
+	}
+	// AllocsPerRun makes one warm-up call beyond runs.
+	if b := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); b > 1024 {
+		t.Fatalf("full-set Schedule miss: %d B/op, want at most 1024", b)
+	}
 }

@@ -255,7 +255,7 @@ func (s *Schedule) state(t prf.Epoch, ids []int, isPrefetch bool) (*EpochState, 
 
 	deriveIDs := ids
 	if deriveIDs == nil {
-		deriveIDs = allIDs(s.q.ring.N())
+		deriveIDs = s.q.all
 	}
 	es, err := s.q.prepareParallel(t, deriveIDs, s.workers)
 	s.derivations.Add(uint64(len(deriveIDs)))
@@ -284,6 +284,35 @@ func (s *Schedule) prefetchAhead(t prf.Epoch, ids []int) {
 		return
 	}
 	go s.state(t, ids, true)
+}
+
+// partial is one chunk's share of an EpochState: Σ k_{i,t} mod p and the
+// plain 256-bit Σ ss_{i,t} over the chunk's ids.
+type partial struct {
+	kSum  uint256.Int
+	ssSum uint256.Int
+	err   error
+}
+
+// sumChunk derives and sums (k_{i,t}, ss_{i,t}) over chunk.
+func (q *Querier) sumChunk(t prf.Epoch, chunk []int) partial {
+	var p partial
+	var kacc uint256.Accumulator
+	err := q.derivers().DeriveRange(t, chunk, func(_ int, kit [prf.Size256]byte, ss [prf.Size1]byte) error {
+		kacc.Add(uint256.MustSetBytes(kit[:]))
+		sum, carry := p.ssSum.Add(secretshare.Share(ss).Int())
+		if carry != 0 {
+			return errors.New("sies: share sum overflowed 256 bits")
+		}
+		p.ssSum = sum
+		return nil
+	})
+	if err != nil {
+		p.err = err
+		return p
+	}
+	p.kSum = kacc.Sum(q.params.Field())
+	return p
 }
 
 // prepareParallel derives an EpochState with the per-source HMAC fan-out
@@ -316,34 +345,9 @@ func (q *Querier) prepareParallel(t prf.Epoch, ids []int, workers int) (*EpochSt
 	if workers > len(ids) {
 		workers = len(ids)
 	}
-	type partial struct {
-		kSum  uint256.Int
-		ssSum uint256.Int
-		err   error
-	}
-	sumChunk := func(chunk []int) partial {
-		var p partial
-		var kacc uint256.Accumulator
-		err := rd.DeriveRange(t, chunk, func(_ int, kit [prf.Size256]byte, ss [prf.Size1]byte) error {
-			kacc.Add(uint256.MustSetBytes(kit[:]))
-			sum, carry := p.ssSum.Add(secretshare.Share(ss).Int())
-			if carry != 0 {
-				return errors.New("sies: share sum overflowed 256 bits")
-			}
-			p.ssSum = sum
-			return nil
-		})
-		if err != nil {
-			p.err = err
-			return p
-		}
-		p.kSum = kacc.Sum(field)
-		return p
-	}
-
 	var total partial
 	if workers <= 1 {
-		total = sumChunk(ids)
+		total = q.sumChunk(t, ids)
 		if total.err != nil {
 			return nil, total.err
 		}
@@ -363,7 +367,7 @@ func (q *Querier) prepareParallel(t prf.Epoch, ids []int, workers int) (*EpochSt
 			wg.Add(1)
 			go func(w int, chunk []int) {
 				defer wg.Done()
-				parts[w] = sumChunk(chunk)
+				parts[w] = q.sumChunk(t, chunk)
 			}(w, ids[lo:hi])
 		}
 		wg.Wait()

@@ -3,158 +3,163 @@ package prf
 import (
 	"crypto/sha1"
 	"crypto/sha256"
-	"encoding"
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"sync"
 )
 
-// This file implements the reusable HMAC derivation engine.
+// This file implements the fixed-shape HMAC derivation engine.
 //
 // HM1 and HM256 compute HMAC(key, t) with hmac.New on every call, which
 // re-runs the underlying hash over both 64-byte key pads — the key schedule —
 // and allocates the MAC object, the pad buffers and the digest slice each
 // time. For a fixed long-term key the pads never change, so a Deriver
-// performs the key schedule exactly once at construction: it absorbs
-// key⊕ipad and key⊕opad into fresh hash states and snapshots them via the
-// hashes' BinaryMarshaler encoding. Every subsequent derivation restores a
-// snapshot (a fixed-size copy, no hashing, no allocation), feeds the 8-byte
-// epoch message and finalises into caller-independent buffers — zero heap
-// allocations per epoch on the hot path.
+// compresses key⊕ipad and key⊕opad once, at construction, into four
+// midstates (inner and outer, for SHA-1 and for SHA-256).
+//
+// The message is always an 8-byte epoch, so what is left of each HMAC is
+// exactly two compressions on those midstates: one inner block, then one
+// outer block holding the inner digest. SHA-1 and SHA-256 share
+// Merkle–Damgård padding, so the inner block (t ‖ 0x80 ‖ 0… ‖ bit length
+// 576) is the same for both hashes and for every key; DeriveRange builds it
+// once per epoch and pays four compressions per source. A Deriver is
+// immutable after construction: it needs no lock and allocates nothing.
 
 // hmacBlockSize is the input block size shared by SHA-1 and SHA-256 (64
 // bytes), over which the HMAC pads are formed.
 const hmacBlockSize = 64
 
-// padState is one precomputed HMAC over a fixed key: snapshots of the inner
-// and outer hash states taken after the pads were absorbed, plus reusable
-// output buffers sized for the larger digest.
-type padState struct {
-	h       hash.Hash // running state, restored from a snapshot per use
-	inner   []byte    // marshaled state after Write(key ⊕ ipad)
-	outer   []byte    // marshaled state after Write(key ⊕ opad)
-	scratch [Size256]byte
-	out     [Size256]byte
-	size    int
-}
+// Initial hash values (FIPS 180-4 §5.3.1 and §5.3.3).
+var (
+	iv1   = [5]uint32{0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0}
+	iv256 = [8]uint32{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19}
+)
 
-func newPadState(newHash func() hash.Hash, key []byte) padState {
-	h := newHash()
-	if len(key) > hmacBlockSize {
-		// RFC 2104: long keys are first hashed down.
-		h.Write(key)
-		key = h.Sum(nil)
-		h.Reset()
-	}
-	var pad [hmacBlockSize]byte
-	copy(pad[:], key)
-	for i := range pad {
-		pad[i] ^= 0x36
-	}
-	h.Write(pad[:])
-	inner := marshalHash(h)
-	h.Reset()
-	for i := range pad {
-		pad[i] ^= 0x36 ^ 0x5c
-	}
-	h.Write(pad[:])
-	outer := marshalHash(h)
-	h.Reset()
-	return padState{h: h, inner: inner, outer: outer, size: h.Size()}
-}
-
-// mac computes HMAC(key, msg) into s.out[:s.size]. msg must point into
-// heap-owned memory (the Deriver's epoch buffer) so no per-call allocation
-// occurs when it crosses the hash.Hash interface.
-func (s *padState) mac(msg []byte) {
-	unmarshalHash(s.h, s.inner)
-	s.h.Write(msg)
-	digest := s.h.Sum(s.scratch[:0])
-	unmarshalHash(s.h, s.outer)
-	s.h.Write(digest)
-	s.h.Sum(s.out[:0])
-}
-
-func marshalHash(h hash.Hash) []byte {
-	m, ok := h.(encoding.BinaryMarshaler)
-	if !ok {
-		panic("prf: hash does not support state snapshots")
-	}
-	b, err := m.MarshalBinary()
-	if err != nil {
-		panic(fmt.Sprintf("prf: snapshotting hash state: %v", err))
-	}
+// paddedBlock returns the last (and only) block of a message that follows
+// one 64-byte pad block and whose msgLen bytes sit at the block's head:
+// room for the message, 0x80, and the big-endian bit length of pad and
+// message together.
+func paddedBlock(msgLen int) (b [hmacBlockSize]byte) {
+	b[msgLen] = 0x80
+	binary.BigEndian.PutUint64(b[hmacBlockSize-8:], uint64(hmacBlockSize+msgLen)*8)
 	return b
 }
 
-func unmarshalHash(h hash.Hash, state []byte) {
-	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
-		panic(fmt.Sprintf("prf: restoring hash state: %v", err))
-	}
+// Outer blocks with the padding already in place; a derivation copies one
+// and lays the inner digest into its head.
+var (
+	outerBlock1   = paddedBlock(Size1)
+	outerBlock256 = paddedBlock(Size256)
+)
+
+// epochBlock is the inner block of HMAC(·, t) for both hashes.
+func epochBlock(t Epoch) [hmacBlockSize]byte {
+	b := paddedBlock(8)
+	binary.BigEndian.PutUint64(b[:8], uint64(t))
+	return b
 }
 
 // Deriver serves the per-epoch PRFs of one long-term key with the HMAC key
 // schedule paid once at construction: Epoch256 is HM256(key, t) and Epoch1
-// is HM1(key, t), both allocation-free per call. It is safe for concurrent
-// use; derivations over the same key serialise on an internal mutex, which
-// the schedule engine's worker pool never contends because each worker owns
-// a disjoint range of source ids.
+// is HM1(key, t), both allocation-free per call. A Deriver is immutable
+// after construction and safe for concurrent use.
 type Deriver struct {
-	mu   sync.Mutex
-	s256 padState
-	s1   padState
-	ebuf [8]byte
+	inner1, outer1     [5]uint32
+	inner256, outer256 [8]uint32
 }
 
 // NewDeriver precomputes both HMAC key schedules for key.
 func NewDeriver(key []byte) *Deriver {
-	return &Deriver{
-		s256: newPadState(sha256.New, key),
-		s1:   newPadState(sha1.New, key),
+	d := new(Deriver)
+	d.init(key)
+	return d
+}
+
+func (d *Deriver) init(key []byte) {
+	k1, k256 := key, key
+	if len(key) > hmacBlockSize {
+		// RFC 2104: long keys are first hashed down, by each HMAC's own hash.
+		s1, s256 := sha1.Sum(key), sha256.Sum256(key)
+		k1, k256 = s1[:], s256[:]
+	}
+	ipad, opad := pads(k1)
+	d.inner1, d.outer1 = iv1, iv1
+	block1(&d.inner1, &ipad)
+	block1(&d.outer1, &opad)
+	ipad, opad = pads(k256)
+	d.inner256, d.outer256 = iv256, iv256
+	block256(&d.inner256, &ipad)
+	block256(&d.outer256, &opad)
+}
+
+// pads returns key⊕ipad and key⊕opad for a key of at most one block.
+func pads(key []byte) (ipad, opad [hmacBlockSize]byte) {
+	copy(ipad[:], key)
+	copy(opad[:], key)
+	for i := range ipad {
+		ipad[i] ^= 0x36
+		opad[i] ^= 0x5c
+	}
+	return ipad, opad
+}
+
+// mac256 finishes HMAC-SHA256 over the inner block of an epoch.
+func (d *Deriver) mac256(inner *[hmacBlockSize]byte) (out [Size256]byte) {
+	h := d.inner256
+	block256(&h, inner)
+	b := outerBlock256
+	putWords(b[:], h[:])
+	h = d.outer256
+	block256(&h, &b)
+	putWords(out[:], h[:])
+	return out
+}
+
+// mac1 finishes HMAC-SHA1 over the inner block of an epoch.
+func (d *Deriver) mac1(inner *[hmacBlockSize]byte) (out [Size1]byte) {
+	h := d.inner1
+	block1(&h, inner)
+	b := outerBlock1
+	putWords(b[:], h[:])
+	h = d.outer1
+	block1(&h, &b)
+	putWords(out[:], h[:])
+	return out
+}
+
+// putWords writes h big-endian at the head of b.
+func putWords(b []byte, h []uint32) {
+	for i, w := range h {
+		binary.BigEndian.PutUint32(b[4*i:], w)
 	}
 }
 
-// Epoch256 computes HM256(key, t) — the key-derivation PRF — reusing the
-// precomputed pads.
-func (d *Deriver) Epoch256(t Epoch) (out [Size256]byte) {
-	d.mu.Lock()
-	binary.BigEndian.PutUint64(d.ebuf[:], uint64(t))
-	d.s256.mac(d.ebuf[:])
-	out = d.s256.out
-	d.mu.Unlock()
-	return out
+// Epoch256 computes HM256(key, t) — the key-derivation PRF.
+func (d *Deriver) Epoch256(t Epoch) [Size256]byte {
+	inner := epochBlock(t)
+	return d.mac256(&inner)
 }
 
-// Epoch1 computes HM1(key, t) — the secret-share PRF — reusing the
-// precomputed pads.
-func (d *Deriver) Epoch1(t Epoch) (out [Size1]byte) {
-	d.mu.Lock()
-	binary.BigEndian.PutUint64(d.ebuf[:], uint64(t))
-	d.s1.mac(d.ebuf[:])
-	copy(out[:], d.s1.out[:Size1])
-	d.mu.Unlock()
-	return out
+// Epoch1 computes HM1(key, t) — the secret-share PRF.
+func (d *Deriver) Epoch1(t Epoch) [Size1]byte {
+	inner := epochBlock(t)
+	return d.mac1(&inner)
 }
 
 // RingDerivers is the querier-side derivation engine: one Deriver per key of
 // a KeyRing, built once so every epoch's Θ(N) fan-out skips the HMAC key
-// schedules entirely. Distinct source derivers are independent, so the
-// schedule engine's workers derive disjoint id chunks concurrently with no
-// contention.
+// schedules entirely. Derivers are immutable, so the schedule engine's
+// workers derive concurrently with no contention.
 type RingDerivers struct {
-	global  *Deriver
-	sources []*Deriver
+	global  Deriver
+	sources []Deriver
 }
 
 // NewRingDerivers precomputes the pads for every key in the ring.
 func NewRingDerivers(kr *KeyRing) *RingDerivers {
-	rd := &RingDerivers{
-		global:  NewDeriver(kr.Global),
-		sources: make([]*Deriver, kr.N()),
-	}
+	rd := &RingDerivers{sources: make([]Deriver, kr.N())}
+	rd.global.init(kr.Global)
 	for i := range rd.sources {
-		rd.sources[i] = NewDeriver(kr.Source[i])
+		rd.sources[i].init(kr.Source[i])
 	}
 	return rd
 }
@@ -185,23 +190,17 @@ func (rd *RingDerivers) Share(i int, t Epoch) ([Size1]byte, error) {
 
 // DeriveRange is the batch API for the schedule engine's worker pool: it
 // derives (k_{i,t}, ss_{i,t}) for every id in ids, in order, handing each
-// pair to visit without allocating. A visit error aborts the sweep. Calls
-// over disjoint id sets may run concurrently.
+// pair to visit without allocating. The inner block is built once for the
+// whole sweep, so each source costs four compressions. A visit error aborts
+// the sweep. Calls may run concurrently.
 func (rd *RingDerivers) DeriveRange(t Epoch, ids []int, visit func(id int, kit [Size256]byte, ss [Size1]byte) error) error {
+	inner := epochBlock(t)
 	for _, id := range ids {
 		if id < 0 || id >= len(rd.sources) {
 			return fmt.Errorf("prf: source id %d out of range [0,%d)", id, len(rd.sources))
 		}
-		d := rd.sources[id]
-		d.mu.Lock()
-		binary.BigEndian.PutUint64(d.ebuf[:], uint64(t))
-		d.s256.mac(d.ebuf[:])
-		kit := d.s256.out
-		d.s1.mac(d.ebuf[:])
-		var ss [Size1]byte
-		copy(ss[:], d.s1.out[:Size1])
-		d.mu.Unlock()
-		if err := visit(id, kit, ss); err != nil {
+		d := &rd.sources[id]
+		if err := visit(id, d.mac256(&inner), d.mac1(&inner)); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package prf
 
 import (
 	"bytes"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -23,7 +24,28 @@ func deriverTestKeys() [][]byte {
 	}
 }
 
-func TestDeriverMatchesHMAC(t *testing.T) {
+// eachKernel runs fn once per compression kernel: the portable one always,
+// the SHA-NI one where the CPU has it.
+func eachKernel(t *testing.T, fn func(t *testing.T)) {
+	hw := useSHANI
+	defer func() { useSHANI = hw }()
+	for _, k := range []struct {
+		name  string
+		shani bool
+	}{{"portable", false}, {"shani", true}} {
+		t.Run(k.name, func(t *testing.T) {
+			if k.shani && !hw {
+				t.Skip("no SHA-NI kernel on this CPU")
+			}
+			useSHANI = k.shani
+			fn(t)
+		})
+	}
+}
+
+func TestDeriverMatchesHMAC(t *testing.T) { eachKernel(t, testDeriverMatchesHMAC) }
+
+func testDeriverMatchesHMAC(t *testing.T) {
 	for ki, key := range deriverTestKeys() {
 		d := NewDeriver(key)
 		for _, epoch := range []Epoch{0, 1, 2, 1 << 20, ^Epoch(0)} {
@@ -77,7 +99,9 @@ func TestRingDeriversMatchKeyRing(t *testing.T) {
 	}
 }
 
-func TestDeriveRange(t *testing.T) {
+func TestDeriveRange(t *testing.T) { eachKernel(t, testDeriveRange) }
+
+func testDeriveRange(t *testing.T) {
 	kr, err := NewKeyRing(12)
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +135,11 @@ func TestDeriveRange(t *testing.T) {
 }
 
 // TestDeriverConcurrent hammers one Deriver from many goroutines; run with
-// -race this doubles as the data-race check for the shared pad states.
-func TestDeriverConcurrent(t *testing.T) {
+// -race this doubles as the check that a Deriver is never written after
+// construction.
+func TestDeriverConcurrent(t *testing.T) { eachKernel(t, testDeriverConcurrent) }
+
+func testDeriverConcurrent(t *testing.T) {
 	key := bytes.Repeat([]byte{0x42}, LongTermKeySize)
 	d := NewDeriver(key)
 	var wg sync.WaitGroup
@@ -143,11 +170,15 @@ func TestDeriverConcurrent(t *testing.T) {
 
 // TestDeriverAllocs is the allocation-regression gate for epoch derivation:
 // after construction, serving K_t / k_{i,t} / ss_{i,t} must not touch the
-// heap.
+// heap, on either kernel.
 func TestDeriverAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting is unreliable under the race detector")
 	}
+	eachKernel(t, testDeriverAllocs)
+}
+
+func testDeriverAllocs(t *testing.T) {
 	key := bytes.Repeat([]byte{0x17}, LongTermKeySize)
 	d := NewDeriver(key)
 	var epoch Epoch
@@ -178,6 +209,105 @@ func TestDeriverAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("DeriveRange allocated %.1f times per run, want 0", n)
+	}
+	_ = sink
+}
+
+// TestKernelsAgree is the block-level differential test: the SHA-NI
+// compressions must match the portable ones on arbitrary midstates and
+// blocks, not only on the states HMAC happens to reach.
+func TestKernelsAgree(t *testing.T) {
+	if !useSHANI {
+		t.Skip("no SHA-NI kernel on this CPU")
+	}
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 2000; i++ {
+		var p [hmacBlockSize]byte
+		rng.Read(p[:])
+		var h1 [5]uint32
+		var h256 [8]uint32
+		for j := range h1 {
+			h1[j] = rng.Uint32()
+		}
+		for j := range h256 {
+			h256[j] = rng.Uint32()
+		}
+		a1, b1 := h1, h1
+		block1SHANI(&a1, &p)
+		portableBlock(sha1Magic, b1[:], &p)
+		if a1 != b1 {
+			t.Fatalf("block %d: SHA-1 kernels disagree: shani %08x, portable %08x", i, a1, b1)
+		}
+		a256, b256 := h256, h256
+		block256SHANI(&a256, &p)
+		portableBlock(sha256Magic, b256[:], &p)
+		if a256 != b256 {
+			t.Fatalf("block %d: SHA-256 kernels disagree: shani %08x, portable %08x", i, a256, b256)
+		}
+	}
+}
+
+// FuzzDeriver compares both kernels with crypto/hmac on keys of 0 to 200
+// bytes and arbitrary epochs, covering the long-key hash-down of RFC 2104.
+func FuzzDeriver(f *testing.F) {
+	for i, key := range deriverTestKeys() {
+		f.Add(key, uint64(i))
+	}
+	f.Add(bytes.Repeat([]byte{0x5a}, 200), ^uint64(0))
+	hw := useSHANI
+	f.Fuzz(func(t *testing.T, key []byte, epoch uint64) {
+		if len(key) > 200 {
+			key = key[:200]
+		}
+		defer func() { useSHANI = hw }()
+		for _, shani := range []bool{false, hw} {
+			useSHANI = shani
+			d := NewDeriver(key)
+			if got, want := d.Epoch256(Epoch(epoch)), HM256Epoch(key, Epoch(epoch)); got != want {
+				t.Fatalf("shani=%v key %x epoch %d: Epoch256 = %x, want %x", shani, key, epoch, got, want)
+			}
+			if got, want := d.Epoch1(Epoch(epoch)), HM1Epoch(key, Epoch(epoch)); got != want {
+				t.Fatalf("shani=%v key %x epoch %d: Epoch1 = %x, want %x", shani, key, epoch, got, want)
+			}
+		}
+	})
+}
+
+// BenchmarkDeriveRange times the querier's per-epoch fan-out at N=1024 on
+// each kernel; ns/op is per source.
+func BenchmarkDeriveRange(b *testing.B) {
+	kr, err := NewKeyRing(1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rd := NewRingDerivers(kr)
+	ids := make([]int, kr.N())
+	for i := range ids {
+		ids[i] = i
+	}
+	var sink byte
+	visit := func(_ int, kit [Size256]byte, ss [Size1]byte) error {
+		sink ^= kit[0] ^ ss[0]
+		return nil
+	}
+	hw := useSHANI
+	defer func() { useSHANI = hw }()
+	for _, k := range []struct {
+		name  string
+		shani bool
+	}{{"portable", false}, {"shani", true}} {
+		b.Run(k.name, func(b *testing.B) {
+			if k.shani && !hw {
+				b.Skip("no SHA-NI kernel on this CPU")
+			}
+			useSHANI = k.shani
+			b.ReportAllocs()
+			for i := 0; i < b.N; i += len(ids) {
+				if err := rd.DeriveRange(Epoch(i), ids, visit); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 	_ = sink
 }

@@ -102,9 +102,10 @@ func (p *stubParent) close() {
 
 // TestLifecycleCloseRaces fires Close or Crash at random points of an
 // aggregator's accept → handshake → attach sequence, of its upstream redial
-// loop and of its children's redial loops. Every lifecycle call and every
-// Run must return within lifecycleDeadline, and once all nodes are gone the
-// goroutine count must return to where it started.
+// loop and of its children's redial loops, and of a querier's accept →
+// hello → pipelined serve → verify/commit sequence. Every lifecycle call and
+// every Run must return within lifecycleDeadline, and once all nodes are
+// gone the goroutine count must return to where it started.
 func TestLifecycleCloseRaces(t *testing.T) {
 	rounds := 40
 	if testing.Short() {
@@ -115,10 +116,12 @@ func TestLifecycleCloseRaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	field := q.Params().Field()
+	reports := rootReports(t, field, sources, 20)
 	rng := rand.New(rand.NewSource(20261017))
 	start := runtime.NumGoroutine()
 	for r := 0; r < rounds && !t.Failed(); r++ {
 		lifecycleRound(t, rng, field, sources)
+		querierLifecycleRound(t, rng, q, reports)
 	}
 	deadline := time.Now().Add(lifecycleDeadline)
 	for runtime.NumGoroutine() > start {
@@ -227,4 +230,159 @@ func lifecycleRound(t *testing.T, rng *rand.Rand, field *uint256.Field, sources 
 	for _, c := range raws {
 		c.Close()
 	}
+}
+
+// rootReports builds the frames a root aggregator sends for epochs 1..n:
+// the merged PSR of every source.
+func rootReports(t *testing.T, field *uint256.Field, sources []*core.Source, n int) []Frame {
+	agg := core.NewAggregator(field)
+	frames := make([]Frame, n)
+	for e := range frames {
+		epoch := prf.Epoch(e + 1)
+		st := agg.NewMerge()
+		for _, src := range sources {
+			psr, err := src.Encrypt(epoch, uint64(e))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Add(psr)
+		}
+		frames[e] = Frame{Type: TypePSR, Epoch: uint64(epoch), Payload: EncodeReport(st.Final(), nil)}
+	}
+	return frames
+}
+
+// querierLifecycleRound runs a querier, durable in half the rounds, under two
+// raw roots: each dials at a random moment and stalls before its hello, so
+// the kill can land between accept and hello, then streams verified epochs.
+// A root that finishes either hangs up (the querier goes back to accept the
+// next one) or keeps reading acks until the querier hangs up.
+func querierLifecycleRound(t *testing.T, rng *rand.Rand, q *core.Querier, reports []Frame) {
+	cfg := QuerierConfig{ListenAddr: "127.0.0.1:0", Schedule: core.ScheduleConfig{Prefetch: true}}
+	if rng.Intn(2) == 0 {
+		cfg.StateDir = t.TempDir()
+	}
+	qn, err := NewQuerierNodeConfig(cfg, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := qn.Addr()
+	runDone := make(chan error, 1)
+	go func() { runDone <- qn.Run() }()
+	drained := make(chan struct{})
+	go func() {
+		for range qn.Results {
+		}
+		close(drained)
+	}()
+
+	all := make([]int, q.Params().N())
+	for i := range all {
+		all[i] = i
+	}
+	hello := Frame{Type: TypeHello, Payload: core.EncodeContributors(all)}
+	var roots sync.WaitGroup
+	var mu sync.Mutex
+	var conns []net.Conn
+	for r := 0; r < 2; r++ {
+		delay := time.Duration(rng.Intn(3000)) * time.Microsecond
+		stall := time.Duration(rng.Intn(2000)) * time.Microsecond
+		hangUp := rng.Intn(2) == 0
+		roots.Add(1)
+		go func() {
+			defer roots.Done()
+			time.Sleep(delay)
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				return // the querier was already gone
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+			time.Sleep(stall)
+			if WriteFrame(c, hello) != nil {
+				return
+			}
+			if _, err := ReadFrame(c); err != nil {
+				return
+			}
+			for _, f := range reports {
+				if WriteFrame(c, f) != nil {
+					return
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			if hangUp {
+				c.Close()
+				return
+			}
+			io.Copy(io.Discard, c)
+		}()
+	}
+
+	time.Sleep(time.Duration(rng.Intn(5000)) * time.Microsecond)
+	if rng.Intn(2) == 0 {
+		within(t, "querier Crash", qn.Crash)
+	} else {
+		within(t, "querier Close", func() { qn.Close() })
+	}
+	within(t, "querier Run", func() { <-runDone })
+	within(t, "querier Results", func() { <-drained })
+	within(t, "roots", roots.Wait)
+	for _, c := range conns {
+		c.Close()
+	}
+}
+
+// gatedListener holds each accepted connection until released, pinning the
+// moment between a querier's Accept and its bookkeeping of the new root.
+type gatedListener struct {
+	net.Listener
+	accepted chan struct{}
+	release  chan struct{}
+}
+
+func (l *gatedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted <- struct{}{}
+		<-l.release
+	}
+	return c, err
+}
+
+// TestQuerierCloseDuringAccept closes a querier after Accept has returned a
+// root but before Run has registered it. Close finds no root to hang up on,
+// so Run must drop the connection itself; serving it would wait forever on a
+// hello that never comes.
+func TestQuerierCloseDuringAccept(t *testing.T) {
+	q, _, err := core.Setup(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qn, err := NewQuerierNode("127.0.0.1:0", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl := &gatedListener{Listener: qn.ln, accepted: make(chan struct{}), release: make(chan struct{})}
+	qn.ln = gl
+	runDone := make(chan error, 1)
+	go func() { runDone <- qn.Run() }()
+	go func() {
+		for range qn.Results {
+		}
+	}()
+	c, err := net.Dial("tcp", qn.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	<-gl.accepted
+	within(t, "querier Close", func() { qn.Close() })
+	close(gl.release)
+	within(t, "querier Run", func() {
+		if err := <-runDone; err != nil {
+			t.Errorf("Run: %v", err)
+		}
+	})
 }

@@ -1592,8 +1592,9 @@ func NewQuerierNodeConfig(cfg QuerierConfig, q *core.Querier) (*QuerierNode, err
 // Addr returns the address the querier listens on (for wiring up the root).
 func (qn *QuerierNode) Addr() string { return qn.ln.Addr().String() }
 
-// Close stops the listener and syncs any durable state. Idempotent: extra
-// calls (a signal handler racing a deferred Close) are no-ops.
+// Close stops the listener, hangs up on the root and syncs any durable
+// state; Run then drains the epochs already read and returns. Idempotent:
+// extra calls (a signal handler racing a deferred Close) are no-ops.
 func (qn *QuerierNode) Close() error {
 	qn.mu.Lock()
 	if qn.lnClosed {
@@ -1601,8 +1602,14 @@ func (qn *QuerierNode) Close() error {
 		return nil
 	}
 	qn.lnClosed = true
+	root := qn.rootConn
 	qn.mu.Unlock()
 	err := qn.ln.Close()
+	if root != nil {
+		// A root that never sends its hello, or never hangs up, must not
+		// keep Run alive past Close.
+		root.Close()
+	}
 	qn.closeState()
 	return err
 }
@@ -1720,7 +1727,9 @@ func (qn *QuerierNode) Run() error {
 			return err
 		}
 		qn.mu.Lock()
-		if qn.crashed {
+		if qn.lnClosed {
+			// Accepted just before Close or Crash: they have already looked
+			// for a root to hang up on, so this one is never served.
 			qn.mu.Unlock()
 			conn.Close()
 			return nil
