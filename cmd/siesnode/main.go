@@ -258,8 +258,10 @@ func runQuerier() error {
 	}()
 	done := make(chan error, 1)
 	go func() { done <- node.Run() }()
-	// SIGINT/SIGTERM drain: Close stops the listener and syncs the journal, so
-	// the committed frontier survives into the next -state-dir start.
+	// SIGINT/SIGTERM drain: Close stops the listener and hangs up on the root;
+	// Run journals what it has already read and syncs the journal as it
+	// returns, so the committed frontier survives into the next -state-dir
+	// start.
 	err = runUntilSignal(done, func() { node.Close() })
 	h := node.Health()
 	ks := h.KeySchedule

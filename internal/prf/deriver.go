@@ -23,6 +23,8 @@ import (
 // 576) is the same for both hashes and for every key; DeriveRange builds it
 // once per epoch and pays four compressions per source. A Deriver is
 // immutable after construction: it needs no lock and allocates nothing.
+// kernel.go holds the compressions and the portable kernel that stands in
+// for them off SHA-NI.
 
 // hmacBlockSize is the input block size shared by SHA-1 and SHA-256 (64
 // bytes), over which the HMAC pads are formed.
@@ -102,26 +104,36 @@ func pads(key []byte) (ipad, opad [hmacBlockSize]byte) {
 	return ipad, opad
 }
 
-// mac256 finishes HMAC-SHA256 over the inner block of an epoch.
-func (d *Deriver) mac256(inner *[hmacBlockSize]byte) (out [Size256]byte) {
+// mac256 finishes HMAC-SHA256 over the inner block of an epoch; k is the
+// portable kernel's hashes, nil on the SHA-NI kernel.
+func (d *Deriver) mac256(k *portable, inner *[hmacBlockSize]byte) (out [Size256]byte) {
+	if k != nil {
+		copy(out[:], k.mac(&k.sha256, d.inner256[:], d.outer256[:]))
+		return out
+	}
 	h := d.inner256
-	block256(&h, inner)
+	block256SHANI(&h, inner)
 	b := outerBlock256
 	putWords(b[:], h[:])
 	h = d.outer256
-	block256(&h, &b)
+	block256SHANI(&h, &b)
 	putWords(out[:], h[:])
 	return out
 }
 
-// mac1 finishes HMAC-SHA1 over the inner block of an epoch.
-func (d *Deriver) mac1(inner *[hmacBlockSize]byte) (out [Size1]byte) {
+// mac1 finishes HMAC-SHA1 over the inner block of an epoch; k is as for
+// mac256.
+func (d *Deriver) mac1(k *portable, inner *[hmacBlockSize]byte) (out [Size1]byte) {
+	if k != nil {
+		copy(out[:], k.mac(&k.sha1, d.inner1[:], d.outer1[:]))
+		return out
+	}
 	h := d.inner1
-	block1(&h, inner)
+	block1SHANI(&h, inner)
 	b := outerBlock1
 	putWords(b[:], h[:])
 	h = d.outer1
-	block1(&h, &b)
+	block1SHANI(&h, &b)
 	putWords(out[:], h[:])
 	return out
 }
@@ -136,13 +148,17 @@ func putWords(b []byte, h []uint32) {
 // Epoch256 computes HM256(key, t) — the key-derivation PRF.
 func (d *Deriver) Epoch256(t Epoch) [Size256]byte {
 	inner := epochBlock(t)
-	return d.mac256(&inner)
+	k := getPortable(&inner)
+	defer putPortable(k)
+	return d.mac256(k, &inner)
 }
 
 // Epoch1 computes HM1(key, t) — the secret-share PRF.
 func (d *Deriver) Epoch1(t Epoch) [Size1]byte {
 	inner := epochBlock(t)
-	return d.mac1(&inner)
+	k := getPortable(&inner)
+	defer putPortable(k)
+	return d.mac1(k, &inner)
 }
 
 // RingDerivers is the querier-side derivation engine: one Deriver per key of
@@ -191,16 +207,19 @@ func (rd *RingDerivers) Share(i int, t Epoch) ([Size1]byte, error) {
 // DeriveRange is the batch API for the schedule engine's worker pool: it
 // derives (k_{i,t}, ss_{i,t}) for every id in ids, in order, handing each
 // pair to visit without allocating. The inner block is built once for the
-// whole sweep, so each source costs four compressions. A visit error aborts
+// whole sweep, so each source costs four compressions (on the portable
+// kernel, one set of pooled hashes serves the sweep). A visit error aborts
 // the sweep. Calls may run concurrently.
 func (rd *RingDerivers) DeriveRange(t Epoch, ids []int, visit func(id int, kit [Size256]byte, ss [Size1]byte) error) error {
 	inner := epochBlock(t)
+	k := getPortable(&inner)
+	defer putPortable(k)
 	for _, id := range ids {
 		if id < 0 || id >= len(rd.sources) {
 			return fmt.Errorf("prf: source id %d out of range [0,%d)", id, len(rd.sources))
 		}
 		d := &rd.sources[id]
-		if err := visit(id, d.mac256(&inner), d.mac1(&inner)); err != nil {
+		if err := visit(id, d.mac256(k, &inner), d.mac1(k, &inner)); err != nil {
 			return err
 		}
 	}

@@ -234,13 +234,13 @@ func TestKernelsAgree(t *testing.T) {
 		}
 		a1, b1 := h1, h1
 		block1SHANI(&a1, &p)
-		portableBlock(sha1Magic, b1[:], &p)
+		portableBlock(b1[:], &p)
 		if a1 != b1 {
 			t.Fatalf("block %d: SHA-1 kernels disagree: shani %08x, portable %08x", i, a1, b1)
 		}
 		a256, b256 := h256, h256
 		block256SHANI(&a256, &p)
-		portableBlock(sha256Magic, b256[:], &p)
+		portableBlock(b256[:], &p)
 		if a256 != b256 {
 			t.Fatalf("block %d: SHA-256 kernels disagree: shani %08x, portable %08x", i, a256, b256)
 		}

@@ -386,3 +386,78 @@ func TestQuerierCloseDuringAccept(t *testing.T) {
 		}
 	})
 }
+
+// TestQuerierCloseJournalsDrainedEpochs closes a durable querier while its
+// root streams epochs. Run drains the epochs it has already read after Close,
+// and each of them must be journaled like any other: no append may fail, and
+// a node restarted from the same directory must know every epoch the first
+// one emitted, so it can never answer one of them again.
+func TestQuerierCloseJournalsDrainedEpochs(t *testing.T) {
+	q, sources, err := core.Setup(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := rootReports(t, q.Params().Field(), sources, 300)
+	cfg := QuerierConfig{ListenAddr: "127.0.0.1:0", StateDir: t.TempDir()}
+	qn, err := NewQuerierNodeConfig(cfg, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDone := make(chan error, 1)
+	go func() { runDone <- qn.Run() }()
+
+	c, err := net.Dial("tcp", qn.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	all := make([]int, q.Params().N())
+	for i := range all {
+		all[i] = i
+	}
+	if err := WriteFrame(c, Frame{Type: TypeHello, Payload: core.EncodeContributors(all)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFrame(c); err != nil {
+		t.Fatal(err)
+	}
+	go io.Copy(io.Discard, c)
+	go func() {
+		for _, f := range reports {
+			if WriteFrame(c, f) != nil {
+				return
+			}
+		}
+	}()
+
+	var emitted []uint64
+	first := <-qn.Results
+	emitted = append(emitted, uint64(first.Epoch))
+	within(t, "querier Close", func() { qn.Close() })
+	within(t, "querier Results", func() {
+		for res := range qn.Results {
+			emitted = append(emitted, uint64(res.Epoch))
+		}
+	})
+	within(t, "querier Run", func() {
+		if err := <-runDone; err != nil {
+			t.Errorf("Run: %v", err)
+		}
+	})
+	if n := qn.DurabilityStats().JournalErrors; n != 0 {
+		t.Fatalf("%d journal appends failed while Run drained after Close (%d epochs emitted)", n, len(emitted))
+	}
+
+	qn2, err := NewQuerierNodeConfig(cfg, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qn2.Close()
+	qn2.mu.Lock()
+	defer qn2.mu.Unlock()
+	for _, e := range emitted {
+		if !qn2.committed.has(e) {
+			t.Fatalf("epoch %d was emitted before Close but is not in the recovered journal", e)
+		}
+	}
+}

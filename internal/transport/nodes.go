@@ -1507,6 +1507,7 @@ type QuerierNode struct {
 	state     *querierState // durable crash-recovery state; nil without a StateDir
 	lnClosed  bool
 	crashed   bool
+	running   bool // Run has started; it closes the durable state on return
 
 	// forMu serializes forensics mutation (quarantine ticks, localization)
 	// across pipeline workers.
@@ -1592,9 +1593,11 @@ func NewQuerierNodeConfig(cfg QuerierConfig, q *core.Querier) (*QuerierNode, err
 // Addr returns the address the querier listens on (for wiring up the root).
 func (qn *QuerierNode) Addr() string { return qn.ln.Addr().String() }
 
-// Close stops the listener, hangs up on the root and syncs any durable
-// state; Run then drains the epochs already read and returns. Idempotent:
-// extra calls (a signal handler racing a deferred Close) are no-ops.
+// Close stops the listener and hangs up on the root. A running Run then
+// drains the epochs it has already read, journaling each as usual, closes
+// the durable state and returns; without Run, Close closes the durable state
+// itself. Idempotent: extra calls (a signal handler racing a deferred Close)
+// are no-ops.
 func (qn *QuerierNode) Close() error {
 	qn.mu.Lock()
 	if qn.lnClosed {
@@ -1603,6 +1606,7 @@ func (qn *QuerierNode) Close() error {
 	}
 	qn.lnClosed = true
 	root := qn.rootConn
+	running := qn.running
 	qn.mu.Unlock()
 	err := qn.ln.Close()
 	if root != nil {
@@ -1610,7 +1614,9 @@ func (qn *QuerierNode) Close() error {
 		// keep Run alive past Close.
 		root.Close()
 	}
-	qn.closeState()
+	if !running {
+		qn.closeState()
+	}
 	return err
 }
 
@@ -1716,6 +1722,9 @@ func (qn *QuerierNode) withDeparted(failed []int) []int {
 // closed, then closes the Results channel. A root that disconnects may
 // redial, re-handshake and resume.
 func (qn *QuerierNode) Run() error {
+	qn.mu.Lock()
+	qn.running = true
+	qn.mu.Unlock()
 	defer close(qn.Results)
 	defer qn.closeState()
 	for {
